@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,20 +20,22 @@ from .decompose import (
     PRUNE_TOL_DEFAULT,
     assemble_uh,
     build_decomposition,
+    check_terms,
     decomposition_from_json,
     decomposition_to_json,
     load_dense_json,
-    reconstruct,
     reconstruction_residual,
 )
 from .encoding import taylor_encoding, uh_from_sum
 from .errors import ContractError, NumericError, ParseError, TssimError
 from .gates import GateCount, count_dc, count_dense, count_multiplexor, count_select_path
-from .linalg import hermitian_eig, max_abs
+from .linalg import hermitian_eig, inf_norm, max_abs
 from .pauli import h2_hamiltonian, parse_pauli_file, sum_matrix
 from .phase import MAX_BITS, estimate_ground_energy, histogram_prob_diff
 
 SCHEMA = "1"
+# verify accepts a residual up to this times max(1, inf-norm of the matrix)
+VERIFY_TOL = 1e-9
 
 _EXIT_BY_ERROR = ((ParseError, 2), (ContractError, 3), (NumericError, 4))
 
@@ -77,6 +79,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason}") from None
 
 
 def _read_json(path: str) -> dict:
@@ -160,14 +164,20 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     if not cfg.input_path:
         raise ContractError("missing --input")
     doc = _read_json(cfg.input_path)
-    if "matrix" not in doc:
+    if not isinstance(doc, dict) or "matrix" not in doc:
         raise ParseError("document has no embedded matrix to verify against")
     d = decomposition_from_json(doc)
     m = load_dense_json(doc["matrix"])
-    residual = float(max_abs(reconstruct(d) - m))
-    reported = float(doc.get("residual", 1e-9))
-    if residual > max(reported * (1.0 + 1e-9) + 1e-15, 1e-9):
-        raise ContractError(f"reconstruction residual {residual} exceeds tolerance")
+    # the tolerance comes from the matrix itself, never from the document's claims
+    tol = VERIFY_TOL * max(1.0, inf_norm(m))
+    check_terms(d, m.shape[0], VERIFY_TOL)
+    residual = reconstruction_residual(d, m)
+    if not residual <= tol:
+        raise ContractError(f"reconstruction residual {residual} exceeds tolerance {tol}")
+    try:
+        reported = float(doc.get("residual", 1e-9))
+    except (TypeError, ValueError):
+        raise ParseError("reported residual is not a number") from None
     return {
         "schema": SCHEMA,
         "command": "verify",
@@ -285,6 +295,10 @@ _COMMANDS = {
 }
 
 
+def _error_doc(e: Exception, code: int) -> dict:
+    return {"schema": SCHEMA, "error": {"type": type(e).__name__, "message": str(e), "exit": code}}
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit code, JSON document)."""
     try:
@@ -293,16 +307,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         cfg.validate()
         return 0, _COMMANDS[cfg.command](cfg)
     except TssimError as e:
-        for cls, code in _EXIT_BY_ERROR:
-            if isinstance(e, cls):
-                return code, {
-                    "schema": SCHEMA,
-                    "error": {"type": type(e).__name__, "message": str(e), "exit": code},
-                }
-        return 4, {
-            "schema": SCHEMA,
-            "error": {"type": type(e).__name__, "message": str(e), "exit": 4},
-        }
+        code = next((c for cls, c in _EXIT_BY_ERROR if isinstance(e, cls)), 4)
+        return code, _error_doc(e, code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,10 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_input=True, with_format=True):
         if with_input:
-            sp.add_argument("--input", required=True, help="input file path")
+            sp.add_argument("--input", dest="input_path", metavar="PATH", required=True,
+                            help="input file path")
         if with_format:
             sp.add_argument("--format", choices=("pauli", "dense"), default="pauli")
-        sp.add_argument("--output", default=None, help="write JSON here instead of stdout")
+        sp.add_argument("--output", dest="output_path", metavar="PATH", default=None,
+                        help="write JSON here instead of stdout")
 
     sp = sub.add_parser("encode", help="prepare/select encoding of a Pauli sum")
     common(sp)
@@ -363,28 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for src, dst in (
-        ("input", "input_path"),
-        ("format", "format"),
-        ("t", "t"),
-        ("bits", "bits"),
-        ("method", "method"),
-        ("seed", "seed"),
-        ("trials", "trials"),
-        ("iterations", "iterations"),
-        ("prune_tol", "prune_tol"),
-        ("output", "output_path"),
-        ("estimator", "estimator"),
-        ("correct", "correct"),
-        ("extra_controls", "extra_controls"),
-        ("copies", "copies"),
-        ("pea_control", "pea_control"),
-        ("emit_matrix", "emit_matrix"),
-    ):
-        if hasattr(args, src):
-            setattr(cfg, dst, getattr(args, src))
-    return cfg
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _emit(doc: dict, output_path: str | None) -> None:
@@ -397,9 +385,14 @@ def _emit(doc: dict, output_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    code, doc = run(_config_from_args(args))
-    _emit(doc, getattr(args, "output", None) if code == 0 else None)
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    code, doc = run(cfg)
+    try:
+        _emit(doc, cfg.output_path if code == 0 else None)
+    except OSError as e:
+        code = 2
+        err = ParseError(f"cannot write {cfg.output_path}: {e.strerror or e}")
+        _emit(_error_doc(err, code), None)
     return code
 
 

@@ -2,8 +2,6 @@
 
 TS_SIM_MAX_DIM   dense-dimension cap for kron and matrix builders
                  (default 2**14); guards against accidental huge allocations.
-TS_SIM_NUMBA     set to 0/false/off to force the pure-numpy eigensolver
-                 kernel even when numba is importable.
 """
 
 from __future__ import annotations
@@ -11,8 +9,6 @@ from __future__ import annotations
 import os
 
 DEFAULT_MAX_DIM = 2**14
-
-_FALSEY = {"0", "false", "off", "no", ""}
 
 
 def max_dim() -> int:
@@ -26,10 +22,3 @@ def max_dim() -> int:
         return DEFAULT_MAX_DIM
     return value if value > 0 else DEFAULT_MAX_DIM
 
-
-def numba_requested() -> bool:
-    """Whether the accelerated kernel should be used if available."""
-    raw = os.environ.get("TS_SIM_NUMBA")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSEY

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BlockEncoding, _checked, prepare_oracle
+from .encoding import BlockEncoding, prepare_select
 from .errors import ContractError, DomainError, NumericError, ParseError
 from .linalg import as_matrix, inf_norm, max_abs
 
@@ -283,31 +283,39 @@ def assemble_uh(d: Decomposition) -> BlockEncoding:
     if not d.terms:
         raise ContractError("decomposition has no branches")
     betas = [t.beta for t in d.terms]
-    branches = len(betas)
-    a_dim = 1 << max(0, (branches - 1).bit_length())
-    dim = d.dim
-    target = reconstruct(d)
-    if branches == 1:
-        u = term_matrix(d.terms[0], d.n)
-        enc, _ = _checked(u, dim, 1, d.scale * betas[0], target)
-        return enc
-    sel = np.zeros((a_dim * dim, a_dim * dim), dtype=complex)
-    for i in range(a_dim):
-        lo = i * dim
-        if i < branches:
-            sel[lo : lo + dim, lo : lo + dim] = term_matrix(d.terms[i], d.n)
-        else:
-            sel[lo : lo + dim, lo : lo + dim] = np.eye(dim)
-    b = prepare_oracle(betas)
-    bw = np.kron(b, np.eye(dim))
-    u = bw @ sel @ bw
-    enc, _ = _checked(u, dim, a_dim, d.scale * float(sum(betas)), target)
-    return enc
+    unitaries = [term_matrix(t, d.n) for t in d.terms]
+    return prepare_select(betas, unitaries, d.scale * float(sum(betas)), reconstruct(d))
+
+
+def check_terms(d: Decomposition, dim: int, tol: float) -> None:
+    """Reject branches that cannot reconstruct a dim x dim matrix.
+
+    Raises ContractError unless dim is 2^n, every branch has beta >= 0, an
+    x_mask in range, one 2x2 block per block row, and every block unitary
+    within tol.
+    """
+    if dim < 2 or d.n != dim.bit_length() - 1 or dim != 2**d.n:
+        raise ContractError(f"decomposition of n = {d.n} does not fit dimension {dim}")
+    if not (math.isfinite(d.scale) and d.scale > 0):
+        raise ContractError(f"scale {d.scale} is not a positive number")
+    rows = dim // 2
+    for i, t in enumerate(d.terms):
+        if not t.beta >= 0 or not 0 <= t.x_mask < rows or len(t.v_blocks) != rows:
+            raise ContractError(f"branch {i} has a bad weight, mask or block count")
+        if not all(_is_unitary_2x2(b, tol) for b in t.v_blocks):
+            raise ContractError(f"branch {i} has a block that is not unitary within {tol}")
 
 
 def reconstruction_residual(d: Decomposition, m) -> float:
     """Max-abs difference between the reconstruction and a reference matrix."""
     return max_abs(reconstruct(d) - as_matrix(m))
+
+
+def _integer(v) -> int:
+    """int(v) for an integral value; raises ValueError rather than truncating."""
+    if int(v) != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def load_dense_json(doc: dict) -> np.ndarray:
@@ -318,23 +326,23 @@ def load_dense_json(doc: dict) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ParseError("dense matrix document must be an object")
     try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
+        dim = _integer(doc["dim"])
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("missing or bad 'dim'") from None
     if dim < 1:
         raise ParseError(f"bad dimension {dim}")
     if "entries" in doc:
         entries = doc["entries"]
-        if len(entries) != dim * dim:
-            raise ParseError(f"expected {dim * dim} entries, got {len(entries)}")
+        if not isinstance(entries, list) or len(entries) != dim * dim:
+            raise ParseError(f"'entries' must be a list of {dim * dim} pairs")
         try:
             flat = np.array([complex(float(re), float(im)) for re, im in entries])
         except (TypeError, ValueError):
             raise ParseError("entries must be [re, im] pairs") from None
     elif "real" in doc:
         vals = doc["real"]
-        if len(vals) != dim * dim:
-            raise ParseError(f"expected {dim * dim} entries, got {len(vals)}")
+        if not isinstance(vals, list) or len(vals) != dim * dim:
+            raise ParseError(f"'real' must be a list of {dim * dim} numbers")
         try:
             flat = np.array([float(v) for v in vals], dtype=complex)
         except (TypeError, ValueError):
@@ -379,10 +387,10 @@ def decomposition_to_json(d: Decomposition, m=None) -> dict:
 def decomposition_from_json(doc: dict) -> Decomposition:
     """Inverse of decomposition_to_json (ignores any embedded matrix)."""
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"])
         scale = float(doc["scale"])
-        raw_terms = doc["terms"]
-    except (KeyError, TypeError, ValueError):
+        raw_terms = list(doc["terms"])
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("malformed decomposition document") from None
     terms = []
     for rt in raw_terms:
@@ -393,12 +401,12 @@ def decomposition_from_json(doc: dict) -> Decomposition:
             ]
             terms.append(
                 DecompositionTerm(
-                    j=int(rt["j"]),
+                    j=_integer(rt["j"]),
                     beta=float(rt["beta"]),
                     v_blocks=blocks,
-                    x_mask=int(rt["x_mask"]),
+                    x_mask=_integer(rt["x_mask"]),
                 )
             )
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("malformed decomposition term") from None
     return Decomposition(n=n, terms=terms, scale=scale)

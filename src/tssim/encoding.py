@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ContractError, DegenerateProjectionError, DomainError
 from .linalg import (
     as_matrix,
+    check_dim,
     hermitian_eig,
     is_unitary,
     kron,
@@ -60,7 +61,7 @@ def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> t
     if not is_unitary(matrix, tol):
         raise DomainError("constructed encoding is not unitary")
     resid = max_abs(scale * enc.top_block() - target)
-    if resid > tol:
+    if not resid <= tol:
         raise DomainError(f"block equality failed (residual {resid:.3e})")
     return enc, EncodedTarget(target=target, tolerance=tol)
 
@@ -114,27 +115,47 @@ def prepare_oracle(coeffs) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / nv
 
 
+def _block_diagonal(unitaries, n: int) -> np.ndarray:
+    """blkdiag(unitaries) of n x n blocks, identity-padded to a power-of-two count."""
+    blocks = 1 << max(0, (len(unitaries) - 1).bit_length())
+    sel = np.zeros((check_dim(blocks * n),) * 2, dtype=complex)
+    for i in range(blocks):
+        lo = i * n
+        sel[lo : lo + n, lo : lo + n] = unitaries[i] if i < len(unitaries) else np.eye(n)
+    return sel
+
+
+def _signed_words(s: PauliSum) -> list:
+    if not s.terms:
+        raise ContractError("empty sum")
+    return [(-1.0 if c < 0 else 1.0) * word_matrix(w) for c, w in s.terms]
+
+
 def select_oracle(s: PauliSum) -> np.ndarray:
     """Block-diagonal of sign(coeff) * word matrices, identity padded.
 
     Coefficient signs are absorbed here so the prepare oracle only sees
     magnitudes. For a single-term sum this is the signed word itself.
     """
-    L = len(s.terms)
-    if L == 0:
-        raise ContractError("empty sum")
-    blocks = 1 << max(0, (L - 1).bit_length())
-    n = s.dim
-    sel = np.zeros((blocks * n, blocks * n), dtype=complex)
-    for i in range(blocks):
-        lo = i * n
-        if i < L:
-            coeff, word = s.terms[i]
-            sign = -1.0 if coeff < 0 else 1.0
-            sel[lo : lo + n, lo : lo + n] = sign * word_matrix(word)
-        else:
-            sel[lo : lo + n, lo : lo + n] = np.eye(n)
-    return sel
+    return _block_diagonal(_signed_words(s), s.dim)
+
+
+def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
+    """Sum-of-unitaries encoding (B (x) I) blkdiag(unitaries, I, ...) (B (x) I).
+
+    B is the prepare oracle of the non-negative weights, so the block is
+    sum_i w_i U_i / sum_i w_i; it is checked against target / scale. A
+    single unitary is its own encoding and needs no ancilla.
+    """
+    n = target.shape[0]
+    if len(unitaries) == 1:
+        enc, _ = _checked(unitaries[0], n, 1, scale, target)
+        return enc
+    b = prepare_oracle(weights)
+    bw = kron(b, np.eye(n))
+    u = bw @ _block_diagonal(unitaries, n) @ bw
+    enc, _ = _checked(u, n, b.shape[0], scale, target)
+    return enc
 
 
 def uh_from_sum(s: PauliSum) -> BlockEncoding:
@@ -144,24 +165,8 @@ def uh_from_sum(s: PauliSum) -> BlockEncoding:
     1-norm. Ancilla dimension is the word count rounded up to a power of
     two; a single-term sum needs no ancilla at all.
     """
-    L = len(s.terms)
-    if L == 0:
-        raise ContractError("empty sum")
-    target = sum_matrix(s)
-    scale = s.coefficient_one_norm()
-    mags = np.array([abs(c) for c, _ in s.terms])
-    if L == 1:
-        coeff, word = s.terms[0]
-        sign = -1.0 if coeff < 0 else 1.0
-        u = sign * word_matrix(word)
-        enc, _ = _checked(u, s.dim, 1, scale, target)
-        return enc
-    b = prepare_oracle(mags)
-    sel = select_oracle(s)
-    eye_n = np.eye(s.dim)
-    u = kron(b, eye_n) @ sel @ kron(b, eye_n)
-    enc, _ = _checked(u, s.dim, b.shape[0], scale, target)
-    return enc
+    mags = [abs(c) for c, _ in s.terms]
+    return prepare_select(mags, _signed_words(s), s.coefficient_one_norm(), sum_matrix(s))
 
 
 def b_gate(t: float) -> np.ndarray:
@@ -236,7 +241,7 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     n = uh.system_dim
     a = uh.ancilla_dim
     d = a * n
-    full = 4 * d
+    full = check_dim(4 * d)
     eye_d = np.eye(d)
     uh_m = uh.matrix
 

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, config
+from . import config
 from .errors import ContractError, DomainError, NumericError, SizeError
 
 HERMITIAN_TOL = 1e-12
-OFFDIAG_TOL = 1e-14
-SWEEP_BUDGET = 100
 
 
 @dataclass
@@ -36,18 +34,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with a dimension guard.
-
-    Raises SizeError when the product dimension exceeds the configured cap
-    (TS_SIM_MAX_DIM, default 2**14).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    dim = a.shape[0] * b.shape[0]
+def check_dim(dim: int) -> int:
+    """Raise SizeError when a dense dimension exceeds the configured cap
+    (TS_SIM_MAX_DIM, default 2**14); returns dim."""
     cap = config.max_dim()
     if dim > cap:
-        raise SizeError(f"kron result dimension {dim} exceeds cap {cap}")
+        raise SizeError(f"dense dimension {dim} exceeds cap {cap}")
+    return dim
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product with a dimension guard (see check_dim)."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    check_dim(a.shape[0] * b.shape[0])
     return np.kron(a, b)
 
 
@@ -74,29 +74,20 @@ def is_unitary(u, tol: float) -> bool:
 
 
 def hermitian_eig(h) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    Cyclic Jacobi with 2x2 unitary rotations, 100-sweep budget, off-diagonal
-    threshold 1e-14 relative to the largest input entry. The input must be
-    Hermitian within 1e-12 entrywise.
+    The input must be Hermitian within 1e-12 entrywise and is symmetrised
+    before the solve. Values are ascending, vector columns orthonormal; a
+    LAPACK failure raises NumericError.
     """
     h = as_matrix(h)
     if max_abs(h - h.conj().T) > HERMITIAN_TOL:
         raise ContractError("matrix is not Hermitian within 1e-12")
-    n = h.shape[0]
-    a = np.ascontiguousarray((h + h.conj().T) / 2.0)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, max_abs(a))
-    tol = OFFDIAG_TOL * scale
-    _kernels.jacobi_sweeps(a, v, tol, SWEEP_BUDGET)
-    off = 0.0
-    if n > 1:
-        off = max_abs(a - np.diag(np.diag(a)))
-    if off > tol:
-        raise NumericError(f"Jacobi did not converge in {SWEEP_BUDGET} sweeps (off-diagonal {off:.3e})")
-    values = np.diag(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return Spectrum(values=values[order], vectors=v[:, order])
+    try:
+        values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"eigensolver failed: {e}") from None
+    return Spectrum(values=values, vectors=vectors)
 
 
 def sqrtm_psd(a) -> np.ndarray:
@@ -112,14 +103,3 @@ def sqrtm_psd(a) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     root = (spec.vectors * np.sqrt(w)) @ spec.vectors.conj().T
     return (root + root.conj().T) / 2.0
-
-
-def spectral_norm_hermitian(h) -> float:
-    """Largest eigenvalue magnitude of a Hermitian matrix."""
-    spec = hermitian_eig(h)
-    return float(np.max(np.abs(spec.values)))
-
-
-def backend() -> str:
-    """Active eigensolver kernel, 'numba' or 'numpy'."""
-    return _kernels.backend()

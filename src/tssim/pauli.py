@@ -7,6 +7,7 @@ and word order matches the usual sigma_{n-1} ... sigma_0 product notation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,8 @@ class PauliSum:
     """Real-weighted sum of equal-length Pauli words.
 
     Duplicate words are merged in first-appearance order and terms whose
-    merged coefficient is below 1e-15 in magnitude are dropped.
+    merged coefficient is below 1e-15 in magnitude are dropped. Non-finite
+    coefficients, or merged sums that overflow, are rejected.
     """
 
     terms: list = field(default_factory=list)
@@ -69,6 +71,8 @@ class PauliSum:
             merged[word] = merged.get(word, 0.0) + coeff
         if n is None:
             raise ContractError("a Pauli sum needs at least one term")
+        if not all(math.isfinite(c) for c in merged.values()):
+            raise ContractError("coefficients must be finite")
         self.n = n
         self.terms = [(c, w) for w, c in merged.items() if abs(c) >= COEFF_DROP_TOL]
 
@@ -169,6 +173,8 @@ def parse_pauli_file(text: str) -> PauliSum:
             coeff = float(coeff_text)
         except ValueError:
             raise ParseError(f"line {lineno}: bad coefficient {coeff_text!r}") from None
+        if not math.isfinite(coeff):
+            raise ParseError(f"line {lineno}: non-finite coefficient {coeff_text!r}")
         if any(ch not in _SINGLE for ch in word):
             raise ParseError(f"line {lineno}: bad Pauli word {word!r}")
         if width is None:

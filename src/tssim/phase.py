@@ -299,25 +299,21 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     spectrum = hermitian_eig(h_n)
     v = spectrum.vectors[:, 0]
 
-    if method in ("exact", METHOD_EXACT):
-        enc = dilation_sqrt(t * h_n)
-        est = _run_unitary_estimator(enc.matrix, dilated_eigenvector(v), m, estimator)
-        est = dataclasses.replace(est, method=METHOD_EXACT)
-        lam = eigenvalue_from_phase(est, t)
-    elif method == "dc":
-        dec = build_decomposition(h_n)
-        rebuilt = assemble_uh(dec)
-        h_rec = rebuilt.top_block() * rebuilt.scale
-        h_rec = (h_rec + h_rec.conj().T) / 2.0
-        enc = dilation_sqrt(t * h_rec)
-        est = _run_unitary_estimator(enc.matrix, dilated_eigenvector(v), m, estimator)
-        est = dataclasses.replace(est, method=METHOD_EXACT)
-        lam = eigenvalue_from_phase(est, t)
-    elif method == "taylor":
+    if method == "taylor":
         uh = uh_from_sum(s_n)
         enc, _ = taylor_encoding(uh, t)
         est = taylor_phase(enc, v, m, estimator)
         lam = eigenvalue_from_phase(est, t, correct=correct)
+    elif method in ("exact", METHOD_EXACT, "dc"):
+        h = h_n
+        if method == "dc":
+            rebuilt = assemble_uh(build_decomposition(h_n))
+            h = rebuilt.top_block() * rebuilt.scale
+            h = (h + h.conj().T) / 2.0
+        enc = dilation_sqrt(t * h)
+        est = _run_unitary_estimator(enc.matrix, dilated_eigenvector(v), m, estimator)
+        est = dataclasses.replace(est, method=METHOD_EXACT)
+        lam = eigenvalue_from_phase(est, t)
     else:
         raise ContractError(f"unknown method {method!r}")
     return scale * lam, est

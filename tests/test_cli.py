@@ -210,3 +210,105 @@ def test_identical_config_bytes(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def _decompose_doc(tmp_path, seed=6):
+    m = np.random.default_rng(seed).normal(size=(4, 4)) / 8.0
+    code, doc = run(RunConfig(command="decompose", input_path=write_dense(tmp_path, m), format="dense"))
+    assert code == 0 and doc["branches"] >= 2
+    return doc
+
+
+def _verify(tmp_path, doc):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    return run(RunConfig(command="verify", input_path=str(path)))
+
+
+def test_verify_ignores_the_reported_residual(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["terms"][0]["v_blocks"][0] = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]
+    doc["residual"] = 100
+    code, vdoc = _verify(tmp_path, doc)
+    assert code == 3
+    assert vdoc["error"]["type"] == "ContractError"
+
+
+def test_verify_rejects_non_unitary_blocks_that_reconstruct(tmp_path):
+    # doubling one branch's blocks and halving its weight keeps the sum exact
+    doc = _decompose_doc(tmp_path)
+    term = doc["terms"][0]
+    term["beta"] /= 2.0
+    term["v_blocks"] = [[[2.0 * re, 2.0 * im] for re, im in blk] for blk in term["v_blocks"]]
+    assert _verify(tmp_path, doc)[0] == 3
+
+
+def test_verify_rejects_negative_weight(tmp_path):
+    # negating a branch's weight and blocks keeps the sum exact and the blocks unitary
+    doc = _decompose_doc(tmp_path)
+    term = doc["terms"][0]
+    term["beta"] = -term["beta"]
+    term["v_blocks"] = [[[-re, -im] for re, im in blk] for blk in term["v_blocks"]]
+    assert _verify(tmp_path, doc)[0] == 3
+
+
+def test_verify_rejects_mask_out_of_range(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["terms"][0]["x_mask"] = 2
+    assert _verify(tmp_path, doc)[0] == 3
+
+
+def test_verify_rejects_fractional_mask(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["terms"][0]["x_mask"] += 0.5
+    assert _verify(tmp_path, doc)[0] == 2
+
+
+@pytest.mark.parametrize("key", ["entries", "real"])
+def test_dense_json_non_list_exits_2(tmp_path, key):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"dim": 2, key: 5}))
+    code, doc = run(RunConfig(command="decompose", input_path=str(p), format="dense"))
+    assert code == 2
+    assert doc["error"]["type"] == "ParseError"
+
+
+def test_dense_json_infinite_dim_exits_2(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text('{"dim": Infinity, "real": [1]}')
+    code, _ = run(RunConfig(command="decompose", input_path=str(p), format="dense"))
+    assert code == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    p = tmp_path / "h.pauli"
+    p.write_bytes(b"0.5 \xff\xfe\n")
+    code, doc = run(RunConfig(command="encode", input_path=str(p)))
+    assert code == 2
+    assert doc["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+def test_non_finite_coefficient_exits_2(tmp_path, coeff):
+    p = tmp_path / "h.pauli"
+    p.write_text(f"1.0 XI\n{coeff} ZZ\n")
+    code, doc = run(RunConfig(command="encode", input_path=str(p)))
+    assert code == 2
+    assert "non-finite" in doc["error"]["message"]
+
+
+def test_unwritable_output_exits_2_with_json_error(capsys):
+    rc = main(["gates", "--input", H2_PATH, "--output", "/nonexistent/x.json"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["exit"] == 2
+    assert "/nonexistent/x.json" in err["error"]["message"]
+
+
+def test_overflowing_sum_exits_3_instead_of_emitting_nan(tmp_path):
+    p = tmp_path / "h.pauli"
+    p.write_text("1e308 ZI\n1e308 IZ\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, doc = run(RunConfig(command="encode", input_path=str(p), t=0.0))
+    assert code == 3
+    assert "block equality" in doc["error"]["message"]

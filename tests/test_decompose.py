@@ -20,7 +20,7 @@ from tssim.decompose import (
     unitary_split,
     x_pattern_permutation,
 )
-from tssim.errors import ContractError, DomainError, ParseError
+from tssim.errors import ContractError, DomainError, ParseError, SizeError
 from tssim.linalg import max_abs
 from tssim.pauli import h2_hamiltonian, sum_matrix
 
@@ -187,6 +187,13 @@ def test_assemble_h2_ancilla_dimension():
     assert enc.ancilla_dim == 4
     assert enc.system_dim == 16
     assert enc.matrix.shape == (64, 64)
+
+
+def test_assemble_respects_dimension_cap(monkeypatch):
+    d = build_decomposition(sum_matrix(h2_hamiltonian()))
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "32")
+    with pytest.raises(SizeError):
+        assemble_uh(d)  # 4 branches of dimension 16
 
 
 def test_assemble_rejects_empty():

@@ -15,7 +15,7 @@ from tssim.encoding import (
     taylor_encoding,
     uh_from_sum,
 )
-from tssim.errors import ContractError, DegenerateProjectionError, DomainError
+from tssim.errors import ContractError, DegenerateProjectionError, DomainError, SizeError
 from tssim.linalg import is_unitary, max_abs
 from tssim.pauli import PauliSum, h2_hamiltonian, normalize_for_encoding, sum_matrix
 
@@ -168,3 +168,17 @@ def test_postselect_degenerate_projection():
     uh = uh_from_sum(s)
     with pytest.raises(DegenerateProjectionError):
         apply_postselect(uh, np.array([0.0, 1.0]))
+
+
+def test_series_respects_dimension_cap(monkeypatch):
+    s_n, _ = normalize_for_encoding(h2_hamiltonian())
+    uh = uh_from_sum(s_n)  # dimension 256
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "512")
+    with pytest.raises(SizeError):
+        taylor_encoding(uh, 0.2)  # dimension 4 * 256 = 1024
+
+
+def test_select_oracle_respects_dimension_cap(monkeypatch):
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "128")
+    with pytest.raises(SizeError):
+        select_oracle(h2_hamiltonian())  # 16 blocks of 16

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tssim import _kernels
 from tssim.errors import ContractError, DomainError, SizeError
 from tssim.linalg import (
     as_matrix,
@@ -89,38 +88,3 @@ def test_sqrtm_psd_rejects_negative_spectrum():
     with pytest.raises(DomainError):
         sqrtm_psd(np.diag([1.0, -0.5]))
 
-
-def test_both_kernels_agree():
-    """The compiled loop and the numpy fallback run the same schedule."""
-    h = random_hermitian(10, seed=21)
-    tol = 1e-14 * max(1.0, max_abs(h))
-
-    a1 = h.copy()
-    v1 = np.eye(10, dtype=complex)
-    s1 = _kernels._jacobi_sweeps_numpy(a1, v1, tol, 100)
-
-    a2 = h.copy()
-    v2 = np.eye(10, dtype=complex)
-    s2 = _kernels._jacobi_sweeps_serial(a2, v2, tol, 100)
-
-    assert s1 < 100 and s2 < 100
-    assert np.allclose(np.sort(np.diag(a1).real), np.sort(np.diag(a2).real), atol=1e-12)
-    assert np.allclose(np.sort(np.diag(a1).real), np.linalg.eigvalsh(h), atol=1e-11)
-
-
-def test_env_flag_selects_numpy_backend():
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "from tssim.linalg import backend; print(backend())"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "TS_SIM_NUMBA": "0"},
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_active_backend_is_reported():
-    assert _kernels.backend() in ("numba", "numpy")

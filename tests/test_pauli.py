@@ -134,3 +134,21 @@ def test_fixture_file_matches_embedded_terms(tmp_path):
     fixture = pathlib.Path(__file__).parent / "fixtures" / "h2.pauli"
     s = parse_pauli_file(fixture.read_text())
     assert max_abs(sum_matrix(s) - sum_matrix(h2_hamiltonian())) < 1e-15
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ParseError) as exc:
+        parse_pauli_file(f"1.0 XI\n{coeff} ZZ\n")
+    assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+def test_sum_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ContractError):
+        PauliSum([(1.0, "XI"), (coeff, "ZZ")])
+
+
+def test_sum_rejects_overflowing_merge():
+    with pytest.raises(ContractError):
+        PauliSum([(1e308, "XI"), (1e308, "XI")])
