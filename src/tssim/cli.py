@@ -38,6 +38,9 @@ SCHEMA = "1"
 VERIFY_TOL = 1e-9
 
 _EXIT_BY_ERROR = ((ParseError, 2), (ContractError, 3), (NumericError, 4))
+# --t per command, shared by the parser and RunConfig: encode builds no
+# series unless asked; the commands not listed ignore t and keep 1.0
+_DEFAULT_T = {"encode": 0.0, "estimate": 1.0}
 
 
 @dataclass
@@ -47,7 +50,7 @@ class RunConfig:
     command: str
     input_path: str | None = None
     format: str = "pauli"
-    t: float = 1.0
+    t: float | None = None  # None: the command's own default, see _DEFAULT_T
     bits: int = 16
     method: str = "exact"
     seed: int = 0
@@ -61,6 +64,10 @@ class RunConfig:
     copies: int = 1
     pea_control: bool = False
     emit_matrix: bool = False
+
+    def __post_init__(self) -> None:
+        if self.t is None:
+            self.t = _DEFAULT_T.get(self.command, 1.0)
 
     def validate(self) -> None:
         if self.t < 0:
@@ -331,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("encode", help="prepare/select encoding of a Pauli sum")
     common(sp)
-    sp.add_argument("--t", type=float, default=0.0, help="also build the series encoding at this time")
+    sp.add_argument("--t", type=float, default=_DEFAULT_T["encode"],
+                    help="also build the series encoding at this time")
     sp.add_argument("--emit-matrix", action="store_true", help="embed the full unitary")
 
     sp = sub.add_parser("decompose", help="divide-and-conquer unitary decomposition")
@@ -341,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("estimate", help="ground-energy estimation")
     common(sp)
     sp.add_argument("--method", choices=("exact", "taylor", "dc"), default="exact")
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=float, default=_DEFAULT_T["estimate"])
     sp.add_argument("--bits", type=int, default=16)
     sp.add_argument("--estimator", choices=("pea", "ipea"), default="pea")
     sp.add_argument("--no-correct", dest="correct", action="store_false",

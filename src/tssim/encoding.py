@@ -1,16 +1,19 @@
-"""Block encodings built as explicit dense unitaries.
+"""Block encodings as dense unitaries or as certified factors.
 
 A block encoding is a unitary whose top-left system-sized block equals a
 target operator divided by a known positive scale. Three constructions
 live here: the exact two-block dilation of a Hermitian contraction, the
 prepare/select sum-of-unitaries encoding of a Pauli sum, and the
 second-order truncated-series circuit that combines two applications of
-the sum encoding with a routing permutation.
+the sum encoding with a routing permutation. The first two store their
+matrix; the series computes its block from its factors and multiplies the
+circuit out only on request.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,22 +33,36 @@ from .pauli import PauliSum, sum_matrix, word_matrix
 BLOCK_TOL = 1e-9
 
 
-@dataclass
 class BlockEncoding:
     """Unitary `matrix` whose top-left block is target/scale.
 
     ancilla_dim * system_dim equals the full dimension; post-selecting the
-    ancilla on zero recovers the block.
+    ancilla on zero recovers the block. An encoding given its matrix keeps
+    it; one computed from its factors keeps only the block and `build`,
+    which multiplies the factors out on the first read of `matrix` and is
+    then dropped for the cached result.
     """
 
-    matrix: np.ndarray
-    system_dim: int
-    ancilla_dim: int
-    scale: float
+    def __init__(self, matrix, system_dim: int, ancilla_dim: int, scale: float, *,
+                 block=None, build: Callable[[], np.ndarray] | None = None):
+        if (matrix is None) == (build is None) or (block is None) != (build is None):
+            raise ContractError("an encoding takes its matrix, or its block and a builder")
+        self.system_dim = system_dim
+        self.ancilla_dim = ancilla_dim
+        self.scale = scale
+        self._matrix = matrix
+        self._build = build
+        self._block = matrix[:system_dim, :system_dim] if block is None else block
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._build()
+            self._build = None
+        return self._matrix
 
     def top_block(self) -> np.ndarray:
-        n = self.system_dim
-        return self.matrix[:n, :n]
+        return self._block
 
 
 @dataclass
@@ -56,14 +73,22 @@ class EncodedTarget:
     tolerance: float
 
 
-def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> tuple[BlockEncoding, EncodedTarget]:
-    enc = BlockEncoding(matrix=matrix, system_dim=system_dim, ancilla_dim=ancilla_dim, scale=scale)
-    if not is_unitary(matrix, tol):
+def _require_unitary(u, tol=BLOCK_TOL) -> None:
+    if not is_unitary(u, tol):
         raise DomainError("constructed encoding is not unitary")
-    resid = max_abs(scale * enc.top_block() - target)
+
+
+def _block_checked(enc: BlockEncoding, target, tol=BLOCK_TOL) -> tuple[BlockEncoding, EncodedTarget]:
+    resid = max_abs(enc.scale * enc.top_block() - target)
     if not resid <= tol:
         raise DomainError(f"block equality failed (residual {resid:.3e})")
     return enc, EncodedTarget(target=target, tolerance=tol)
+
+
+def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> tuple[BlockEncoding, EncodedTarget]:
+    _require_unitary(matrix, tol)
+    enc = BlockEncoding(matrix=matrix, system_dim=system_dim, ancilla_dim=ancilla_dim, scale=scale)
+    return _block_checked(enc, target, tol)
 
 
 def dilation_sqrt(h) -> BlockEncoding:
@@ -196,8 +221,23 @@ def b_norm_sq(t: float) -> float:
     return t + 1.0 + t * t / 2.0
 
 
+def pi_index(L_dim: int, N: int) -> np.ndarray:
+    """Gather index of the routing permutation: (Pi x)[r] = x[index[r]].
+
+    On a (2 * L_dim * N)-dimensional register it fixes the first and last N
+    entries and swaps the two halves in between.
+    """
+    if L_dim < 2:
+        raise ContractError("routing permutation needs L_dim >= 2")
+    half = L_dim * N - N
+    index = np.arange(2 * L_dim * N)
+    index[N : N + half] += half
+    index[N + half : N + 2 * half] -= half
+    return index
+
+
 def pi_permutation(L_dim: int, N: int) -> np.ndarray:
-    """Routing permutation blkdiag(I_N, X (x) I_{L*N-N}, I_N).
+    """Routing permutation blkdiag(I_N, X (x) I_{L*N-N}, I_N) as a dense matrix.
 
     Acting on a (2 * L_dim * N)-dimensional register it fixes the first and
     last N states and swaps the two halves in between. Conjugating a
@@ -205,15 +245,9 @@ def pi_permutation(L_dim: int, N: int) -> np.ndarray:
     non-zero ancilla branch away from the post-selected corner, which is
     what turns two applications into a squared block.
     """
-    if L_dim < 2:
-        raise ContractError("routing permutation needs L_dim >= 2")
-    d = 2 * L_dim * N
-    p = np.zeros((d, d))
-    p[:N, :N] = np.eye(N)
-    p[d - N :, d - N :] = np.eye(N)
-    half = L_dim * N - N
-    p[N : N + half, N + half : d - N] = np.eye(half)
-    p[N + half : d - N, N : N + half] = np.eye(half)
+    index = pi_index(L_dim, N)
+    p = np.zeros((index.size, index.size))
+    p[np.arange(index.size), index] = 1.0
     return p
 
 
@@ -223,27 +257,11 @@ def pi_permutation(L_dim: int, N: int) -> np.ndarray:
 _BRANCH_PHASES = np.array([1.0, 1.0j, -1.0j, 1.0])
 
 
-def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, EncodedTarget]:
-    """Second-order truncated-series encoding built from a sum encoding.
-
-    Sandwiches two controlled applications of `uh` (one conjugated by the
-    routing permutation) between coefficient gates on two control qubits.
-    With tau = t * uh.scale the block equals
-    (t H + i (I - t^2 H^2 / 2)) / (tau + 1 + tau^2 / 2)
-    where H is the physical operator, scale * top block of uh. Requires
-    0 <= tau <= 1.
-    """
-    if t < 0:
-        raise ContractError("time step must be non-negative")
-    tau = t * uh.scale
-    if tau > 1.0 + 1e-12:
-        raise DomainError(f"t * scale = {tau:.6f} exceeds 1; shrink the step")
-    n = uh.system_dim
-    a = uh.ancilla_dim
+def _series_matrix(uh_m: np.ndarray, a: int, n: int, b: np.ndarray) -> np.ndarray:
+    """Full series circuit (B (x) I) phases c1uh c1pi c2o (B (x) I), multiplied out."""
     d = a * n
     full = check_dim(4 * d)
     eye_d = np.eye(d)
-    uh_m = uh.matrix
 
     # open control on the second qubit: branches 00 and 10 get U_H
     c2o = np.zeros((full, full), dtype=complex)
@@ -262,14 +280,68 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
 
     v = c1uh @ c1pi @ c2o
     phases = np.kron(np.diag(_BRANCH_PHASES), eye_d)
-    b = b_gate(tau)
     bw = np.kron(b, eye_d)
-    u = bw @ phases @ v @ bw
+    return bw @ phases @ v @ bw
+
+
+def _series_block(uh_m: np.ndarray, n: int, b: np.ndarray, route: np.ndarray) -> np.ndarray:
+    """Top n x n block of _series_matrix from the n leading columns of B (x) I.
+
+    Branch q of those columns is b[q, 0] times the first n unit vectors;
+    they pass c2o (U_H on branches 00 and 10), c1pi (a gather on branches
+    10 and 11), c1uh (U_H on branches 10 and 11) and the branch phases, and
+    the leading rows of B (x) I sum them with weights b[0, q]. `route` is
+    the gather index of c1pi. Only the first n rows of each branch are
+    read, so the cost is O(a n^3) against O((4 a n)^3) for the product.
+    """
+    d = uh_m.shape[0]
+    head = np.eye(d, n, dtype=complex)
+    uh_head = uh_m[:, :n]
+    slabs = [b[0, 0] * uh_head, b[1, 0] * head, b[2, 0] * uh_head, b[3, 0] * head]
+    routed = np.concatenate(slabs[2:])[route]
+    slabs[2] = uh_m[:n] @ routed[:d]
+    slabs[3] = uh_m[:n] @ routed[d:]
+    return sum(b[0, q] * _BRANCH_PHASES[q] * slabs[q][:n] for q in range(4))
+
+
+def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, EncodedTarget]:
+    """Second-order truncated-series encoding built from a sum encoding.
+
+    Sandwiches two controlled applications of `uh` (one conjugated by the
+    routing permutation) between coefficient gates on two control qubits.
+    With tau = t * uh.scale the block equals
+    (t H + i (I - t^2 H^2 / 2)) / (tau + 1 + tau^2 / 2)
+    where H is the physical operator, scale * top block of uh. Requires
+    0 <= tau <= 1.
+
+    The block is computed from the factors, each certified: uh.matrix and
+    the coefficient gate are unitary, the routing map is a bijection and the
+    branch phases have unit modulus. The (4 * ancilla * system)-dimensional
+    circuit matrix is multiplied out only when `.matrix` is read.
+    """
+    if t < 0:
+        raise ContractError("time step must be non-negative")
+    tau = t * uh.scale
+    if tau > 1.0 + 1e-12:
+        raise DomainError(f"t * scale = {tau:.6f} exceeds 1; shrink the step")
+    n = uh.system_dim
+    a = uh.ancilla_dim
+    check_dim(4 * a * n)
+    uh_m = uh.matrix
+    b = b_gate(tau)
+    _require_unitary(uh_m)
+    _require_unitary(b)
+    route = pi_index(a, n) if a > 1 else np.arange(2 * n)  # no ancilla, nothing to route
+    if not np.array_equal(np.sort(route), np.arange(2 * a * n)):
+        raise DomainError("routing map is not a permutation")
+    if not max_abs(np.abs(_BRANCH_PHASES) - 1.0) <= BLOCK_TOL:
+        raise DomainError("branch phases are not of unit modulus")
 
     h_phys = uh.scale * uh.top_block()
     target = t * h_phys + 1j * (np.eye(n) - (t * t / 2.0) * (h_phys @ h_phys))
-    enc, tgt = _checked(u, n, 4 * a, b_norm_sq(tau), target)
-    return enc, tgt
+    enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=_series_block(uh_m, n, b, route),
+                        build=lambda: _series_matrix(uh_m, a, n, b))
+    return _block_checked(enc, target)
 
 
 def apply_postselect(enc: BlockEncoding, psi) -> tuple[np.ndarray, float]:

@@ -30,8 +30,6 @@ EIGVEC_TOL = 1e-8
 UNITARY_TOL = 1e-9
 TIE_TOL = 1e-12
 MAX_BITS = 48
-# full 2^m register simulation up to here; the analytic peak beyond
-PEA_VECTOR_BITS = 20
 
 METHOD_EXACT = "exact-dilation"
 METHOD_TAYLOR = "taylor"
@@ -104,25 +102,19 @@ def _pea_core(phi: float, m: int) -> tuple[list, float, float]:
 
     Outcome y has probability sin^2(2^m pi d) / (2^m sin(pi d))^2 with
     d = phi - y/2^m, the squared geometric sum of the kicked-back phases.
+    Its peak is the grid point nearest phi; at an exact half-grid tie the
+    lower neighbour floor(phi 2^m) wins.
     """
     size = 1 << m
-    if m <= PEA_VECTOR_BITS:
-        delta = phi - np.arange(size) / size
-        num = np.sin(np.pi * size * delta)
-        den = size * np.sin(np.pi * delta)
-        exact = np.abs(den) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = np.where(exact, 1.0, (num / np.where(exact, 1.0, den)) ** 2)
-        best = int(np.argmax(probs))
-        prob = float(min(1.0, probs[best]))
+    x = phi * size  # exact: size is a power of two
+    lower = math.floor(x)
+    best = (lower if x - lower <= 0.5 else lower + 1) % size
+    delta = phi - best / size
+    if abs(delta) < 1e-18:
+        prob = 1.0
     else:
-        best = int(round(phi * size)) % size
-        delta = phi - best / size
-        if abs(delta) < 1e-18:
-            prob = 1.0
-        else:
-            ratio = math.sin(math.pi * size * delta) / (size * math.sin(math.pi * delta))
-            prob = min(1.0, ratio * ratio)
+        ratio = math.sin(math.pi * size * delta) / (size * math.sin(math.pi * delta))
+        prob = min(1.0, ratio * ratio)
     return _bit_list(best, m), best / size, prob
 
 
@@ -332,17 +324,20 @@ def histogram_prob_diff(ensemble_size: int, iterations: int = 20, seed: int = 0)
         raise ContractError("iteration count must be a positive integer")
     rng = np.random.default_rng(seed)
     r = rng.random(int(ensemble_size))
-    diffs = np.empty(int(ensemble_size) * int(iterations))
-    n = int(ensemble_size)
-    for k in range(int(iterations)):
-        diffs[k * n : (k + 1) * n] = np.abs(np.sin(2.0 * np.pi * r))
+    # one round at a time; integer counts add exactly
+    counts = np.zeros(10, dtype=np.int64)
+    below = above = 0
+    for _ in range(int(iterations)):
+        diffs = np.abs(np.sin(2.0 * np.pi * r))
+        counts += np.histogram(diffs, bins=10, range=(0.0, 1.0))[0]
+        below += int(np.count_nonzero(diffs < 0.1))
+        above += int(np.count_nonzero(diffs > 0.9))
         r = (2.0 * r) % 1.0
-    counts, _ = np.histogram(diffs, bins=10, range=(0.0, 1.0))
-    total = float(diffs.size)
+    total = float(int(ensemble_size) * int(iterations))
     return {
         "bins": [float(c) / total for c in counts],
-        "below_0.1": float(np.mean(diffs < 0.1)),
-        "above_0.9": float(np.mean(diffs > 0.9)),
+        "below_0.1": below / total,
+        "above_0.9": above / total,
         "samples": int(ensemble_size),
         "seed": int(seed),
     }

@@ -312,3 +312,14 @@ def test_overflowing_sum_exits_3_instead_of_emitting_nan(tmp_path):
         code, doc = run(RunConfig(command="encode", input_path=str(p), t=0.0))
     assert code == 3
     assert "block equality" in doc["error"]["message"]
+
+
+def test_run_config_time_defaults_follow_the_command(tmp_path):
+    p = tmp_path / "h.pauli"
+    p.write_text("2.0 ZZ\n0.5 XI\n")
+    code, doc = run(RunConfig(command="encode", input_path=str(p)))
+    assert code == 0  # like `tssim encode --input p`: no series at t = 0
+    assert "series" not in doc
+    code, doc = run(RunConfig(command="estimate", input_path=str(p), bits=8))
+    assert code == 0
+    assert doc["t"] == 1.0

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from tssim import encoding
 from tssim.encoding import (
+    BlockEncoding,
     b_gate,
     b_norm_sq,
     apply_postselect,
     dilation_sqrt,
+    pi_index,
     pi_permutation,
     power_postselect,
     prepare_oracle,
@@ -182,3 +185,69 @@ def test_select_oracle_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("TS_SIM_MAX_DIM", "128")
     with pytest.raises(SizeError):
         select_oracle(h2_hamiltonian())  # 16 blocks of 16
+
+
+# The factor path: the series block comes from the certified factors, and the
+# full circuit matrix (the dense product) serves as the oracle at <= 3 qubits.
+
+def small_series(seed, t=0.3):
+    rng = np.random.default_rng(seed)
+    s, _ = normalize_for_encoding(random_sum(rng, n=rng.integers(1, 4), terms=rng.integers(1, 7)))
+    return taylor_encoding(uh_from_sum(s), t)
+
+
+def test_series_block_equals_leading_block_of_matrix():
+    for seed in range(12):
+        enc, _ = small_series(seed)
+        n = enc.system_dim
+        assert enc.matrix.shape == (n * enc.ancilla_dim,) * 2
+        assert max_abs(enc.top_block() - enc.matrix[:n, :n]) < 1e-12
+
+
+def test_series_matrix_built_on_request_is_unitary():
+    for seed in range(12):
+        enc, _ = small_series(seed)
+        assert is_unitary(enc.matrix, 1e-9)
+
+
+def test_series_matrix_built_once(monkeypatch):
+    builds = []
+    dense = encoding._series_matrix
+    monkeypatch.setattr(encoding, "_series_matrix", lambda *a: builds.append(1) or dense(*a))
+    enc, _ = small_series(3)
+    assert builds == []  # the block needs no circuit matrix
+    first = enc.matrix
+    assert enc.matrix is first
+    assert builds == [1]
+
+
+def dense_pi(L_dim, N):
+    """The routing permutation written out block by block."""
+    d = 2 * L_dim * N
+    half = L_dim * N - N
+    p = np.zeros((d, d))
+    p[:N, :N] = np.eye(N)
+    p[d - N :, d - N :] = np.eye(N)
+    p[N : N + half, N + half : d - N] = np.eye(half)
+    p[N + half : d - N, N : N + half] = np.eye(half)
+    return p
+
+
+@pytest.mark.parametrize("L_dim, N", [(2, 1), (2, 4), (4, 2), (8, 8), (16, 4)])
+def test_routing_index_matches_permutation(L_dim, N):
+    index = pi_index(L_dim, N)
+    assert np.array_equal(np.sort(index), np.arange(2 * L_dim * N))
+    x = np.arange(2 * L_dim * N, dtype=float) * 1.5 - 7.0
+    assert np.array_equal(pi_permutation(L_dim, N) @ x, x[index])
+    assert np.array_equal(pi_permutation(L_dim, N), dense_pi(L_dim, N))
+
+
+def test_series_rejects_non_unitary_sum_encoding():
+    s, _ = normalize_for_encoding(PauliSum([(0.5, "ZX"), (0.3, "XI"), (0.2, "YY")]))
+    uh = uh_from_sum(s)
+    bent = uh.matrix.copy()
+    bent[-1, -1] *= 1.5  # far from the block: only the factor check sees it
+    fake = BlockEncoding(matrix=bent, system_dim=uh.system_dim, ancilla_dim=uh.ancilla_dim,
+                         scale=uh.scale)
+    with pytest.raises(DomainError, match="not unitary"):
+        taylor_encoding(fake, 0.3)

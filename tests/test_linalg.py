@@ -1,10 +1,13 @@
 """Eigensolver and matrix-utility tests, checked against numpy oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tssim.errors import ContractError, DomainError, SizeError
 from tssim.linalg import (
+    GRAM_ROWS,
     as_matrix,
     hermitian_eig,
     inf_norm,
@@ -88,3 +91,29 @@ def test_sqrtm_psd_rejects_negative_spectrum():
     with pytest.raises(DomainError):
         sqrtm_psd(np.diag([1.0, -0.5]))
 
+
+
+def test_is_unitary_across_row_steps():
+    n = GRAM_ROWS + 44  # one full step of u^H u rows and one partial
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    assert is_unitary(q, 1e-10)
+    for r, c in ((0, 0), (3, n - 1), (n - 1, 5), (n - 1, n - 1)):
+        bent = q.copy()
+        bent[r, c] *= 1.0 + 1e-6
+        whole = max_abs(bent.conj().T @ bent - np.eye(n))  # the definition, in one product
+        assert is_unitary(bent, whole * 1.01)
+        assert not is_unitary(bent, whole * 0.99)
+
+
+def test_is_unitary_needs_no_full_size_temporaries():
+    n = 2 * GRAM_ROWS
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(n, n)).astype(complex))
+    is_unitary(q[:4, :4], 1e-9)  # warm numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        assert is_unitary(q, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * q.nbytes  # u^H u and the conjugate copy would be 2 * nbytes

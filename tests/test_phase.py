@@ -1,6 +1,7 @@
 """Phase estimators, eigenvalue recovery, and the probability-difference law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tssim.pauli import PauliSum, h2_hamiltonian, normalize_for_encoding, sum_ma
 from tssim.phase import (
     METHOD_TAYLOR,
     PhaseEstimate,
+    _pea_core,
     dilated_eigenvector,
     eigenvalue_from_phase,
     estimate_ground_energy,
@@ -256,3 +258,84 @@ def test_bit_count_bounds():
         pea_phase(np.eye(2), np.array([1.0, 0.0]), 0)
     with pytest.raises(ContractError):
         ipea_msb(np.eye(2), np.array([1.0, 0.0]), 49)
+
+
+def register_peak(phi, m):
+    """Most probable outcome of the m-bit register, by evaluating all 2^m outcomes."""
+    size = 1 << m
+    delta = phi - np.arange(size) / size
+    num = np.sin(np.pi * size * delta)
+    den = size * np.sin(np.pi * delta)
+    exact = np.abs(den) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = np.where(exact, 1.0, (num / np.where(exact, 1.0, den)) ** 2)
+    best = int(np.argmax(probs))
+    return best, float(min(1.0, probs[best]))
+
+
+def test_pea_peak_matches_register_formula():
+    rng = np.random.default_rng(11)
+    for m in range(1, 11):
+        for phi in rng.random(40):
+            bits, phase, prob = _pea_core(float(phi), m)
+            best, want = register_peak(float(phi), m)
+            assert phase * (1 << m) == best
+            assert prob == pytest.approx(want, rel=1e-12)
+
+
+def test_pea_half_grid_ties_take_lower_neighbour():
+    for m in range(1, 11):
+        size = 1 << m
+        tie_prob = 1.0 / (size * math.sin(math.pi / (2 * size))) ** 2
+        for k in range(size):
+            phi = (k + 0.5) / size
+            _, phase, prob = _pea_core(phi, m)
+            assert phase * size == k  # floor(phi * 2^m), the wrap point k = 2^m - 1 included
+            assert prob == pytest.approx(tie_prob, rel=1e-12)
+            best, want = register_peak(phi, m)
+            assert want == pytest.approx(tie_prob, rel=1e-12)
+            if k < size - 1:  # at the wrap the formula picks 2^m - 1 or 0 by rounding
+                assert best == k
+
+
+def test_pea_half_grid_tie_beyond_ten_bits():
+    m = 24
+    size = 1 << m
+    for k in (1, 3, 12345, size - 3):  # odd: rounding half to even would go up
+        bits, phase, _ = _pea_core((k + 0.5) / size, m)
+        assert phase * size == k
+        assert bits == [(k >> (m - 1 - i)) & 1 for i in range(m)]
+
+
+def buffered_histogram(ensemble_size, iterations, seed):
+    """Every round's differences in one buffer, then one histogram."""
+    rng = np.random.default_rng(seed)
+    r = rng.random(ensemble_size)
+    diffs = np.empty(ensemble_size * iterations)
+    for k in range(iterations):
+        diffs[k * ensemble_size : (k + 1) * ensemble_size] = np.abs(np.sin(2.0 * np.pi * r))
+        r = (2.0 * r) % 1.0
+    counts, _ = np.histogram(diffs, bins=10, range=(0.0, 1.0))
+    return {
+        "bins": [float(c) / diffs.size for c in counts],
+        "below_0.1": float(np.mean(diffs < 0.1)),
+        "above_0.9": float(np.mean(diffs > 0.9)),
+        "samples": ensemble_size,
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("size, rounds, seed", [(1, 1, 0), (37, 3, 1), (500, 20, 7), (999, 9, 42)])
+def test_histogram_streaming_equals_buffered(size, rounds, seed):
+    assert histogram_prob_diff(size, rounds, seed) == buffered_histogram(size, rounds, seed)
+
+
+def test_histogram_memory_does_not_grow_with_rounds():
+    histogram_prob_diff(10, 2, seed=1)  # warm numpy's one-off allocations
+    tracemalloc.start()
+    try:
+        histogram_prob_diff(1000, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1000 * 200 / 4  # a quarter of the trials x rounds float buffer

@@ -1,5 +1,6 @@
-"""Property tests: the Pauli text format round-trips, and the CLI maps every
-input file onto a documented exit code with a JSON document."""
+"""Property tests: the Pauli text format round-trips, decompositions
+reconstruct their matrix, and the CLI maps every input file onto a
+documented exit code with a JSON document."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tssim.cli import RunConfig, main, run
-from tssim.decompose import dense_to_json
+from tssim.decompose import build_decomposition, dense_to_json, reconstruct
 from tssim.errors import ParseError
 from tssim.pauli import PauliSum, format_pauli_sum, parse_pauli_file
 
@@ -181,3 +182,18 @@ def test_verify_accepts_only_documents_that_reconstruct(path, value):
     if code == 0:
         assert out["ok"] is True
         assert _reconstructs(doc)
+
+
+@st.composite
+def contractions(draw):
+    dim = draw(st.sampled_from([2, 4, 8]))
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    flat = draw(st.lists(st.tuples(parts, parts), min_size=dim * dim, max_size=dim * dim))
+    m = np.array([complex(re, im) for re, im in flat]).reshape(dim, dim)
+    return m / max(1.0, float(np.linalg.norm(m, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(contractions())
+def test_decomposition_reconstructs_contraction(m):
+    assert np.max(np.abs(reconstruct(build_decomposition(m)) - m)) <= 1e-9
