@@ -66,16 +66,6 @@ class Decomposition:
         return len({t.j for t in self.terms})
 
 
-def split_blocks(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrants (top-left, top-right, bottom-left, bottom-right)."""
-    m = as_matrix(m)
-    d = m.shape[0]
-    if d % 2 != 0 or d < 2:
-        raise ContractError(f"cannot split a {d}-dimensional matrix")
-    h = d // 2
-    return m[:h, :h], m[:h, h:], m[h:, :h], m[h:, h:]
-
-
 def _check_pow2_dim(m) -> tuple[np.ndarray, int]:
     m = as_matrix(m)
     d = m.shape[0]
@@ -241,17 +231,6 @@ def build_decomposition(m, prune_tol: float = PRUNE_TOL_DEFAULT) -> Decompositio
     return Decomposition(n=n, terms=terms, scale=scale)
 
 
-def x_pattern_permutation(j: int, k: int) -> np.ndarray:
-    """Permutation of 2^k block rows sending r to r XOR j."""
-    rows = 2**k
-    if not 0 <= j < rows:
-        raise ContractError(f"mask {j} out of range for {k} positions")
-    p = np.zeros((rows, rows))
-    for r in range(rows):
-        p[r ^ j, r] = 1.0
-    return p
-
-
 def term_matrix(term: DecompositionTerm, n: int) -> np.ndarray:
     """Dense matrix of one branch, blkdiag(v_blocks) @ (P_j (x) I_2)."""
     rows = 2 ** (n - 1)
@@ -290,9 +269,10 @@ def assemble_uh(d: Decomposition) -> BlockEncoding:
 def check_terms(d: Decomposition, dim: int, tol: float) -> None:
     """Reject branches that cannot reconstruct a dim x dim matrix.
 
-    Raises ContractError unless dim is 2^n, every branch has beta >= 0, an
-    x_mask in range, one 2x2 block per block row, and every block unitary
-    within tol.
+    Raises ContractError unless dim is 2^n, every branch has a finite
+    beta >= 0, an x_mask in range, one 2x2 block per block row, and every
+    block unitary within tol. Weights and entry moduli are checked before
+    any product is formed, so no input overflows.
     """
     if dim < 2 or d.n != dim.bit_length() - 1 or dim != 2**d.n:
         raise ContractError(f"decomposition of n = {d.n} does not fit dimension {dim}")
@@ -300,10 +280,16 @@ def check_terms(d: Decomposition, dim: int, tol: float) -> None:
         raise ContractError(f"scale {d.scale} is not a positive number")
     rows = dim // 2
     for i, t in enumerate(d.terms):
-        if not t.beta >= 0 or not 0 <= t.x_mask < rows or len(t.v_blocks) != rows:
-            raise ContractError(f"branch {i} has a bad weight, mask or block count")
+        if not (math.isfinite(t.beta) and t.beta >= 0):
+            raise ContractError(f"branch {i} has weight {t.beta}, not a finite non-negative number")
+        if not 0 <= t.x_mask < rows or len(t.v_blocks) != rows:
+            raise ContractError(f"branch {i} has a bad mask or block count")
+        if not all(np.all(np.abs(b) <= 1.0 + tol) for b in t.v_blocks):
+            raise ContractError(f"branch {i} has a block entry of modulus above 1 + {tol}")
         if not all(_is_unitary_2x2(b, tol) for b in t.v_blocks):
             raise ContractError(f"branch {i} has a block that is not unitary within {tol}")
+    if not math.isfinite(d.scale * math.fsum(t.beta for t in d.terms)):
+        raise ContractError("scale times the summed branch weights overflows")
 
 
 def reconstruction_residual(d: Decomposition, m) -> float:

@@ -5,9 +5,9 @@ target operator divided by a known positive scale. Three constructions
 live here: the exact two-block dilation of a Hermitian contraction, the
 prepare/select sum-of-unitaries encoding of a Pauli sum, and the
 second-order truncated-series circuit that combines two applications of
-the sum encoding with a routing permutation. The first two store their
-matrix; the series computes its block from its factors and multiplies the
-circuit out only on request.
+the sum encoding with a routing permutation. The dilation stores its
+matrix; the other two compute what they are read for from their certified
+factors and multiply the circuit out only on request.
 """
 
 from __future__ import annotations
@@ -38,21 +38,26 @@ class BlockEncoding:
 
     ancilla_dim * system_dim equals the full dimension; post-selecting the
     ancilla on zero recovers the block. An encoding given its matrix keeps
-    it; one computed from its factors keeps only the block and `build`,
-    which multiplies the factors out on the first read of `matrix` and is
-    then dropped for the cached result.
+    it and is certified by whoever consumes it. One computed from certified
+    factors (`from_factors`) keeps the block, optionally the system_dim
+    leading columns and rows of the matrix, and `build`, which multiplies
+    the factors out on the first read of `matrix` and is then dropped for
+    the cached result.
     """
 
     def __init__(self, matrix, system_dim: int, ancilla_dim: int, scale: float, *,
-                 block=None, build: Callable[[], np.ndarray] | None = None):
+                 block=None, columns=None, rows=None, build: Callable[[], np.ndarray] | None = None):
         if (matrix is None) == (build is None) or (block is None) != (build is None):
             raise ContractError("an encoding takes its matrix, or its block and a builder")
         self.system_dim = system_dim
         self.ancilla_dim = ancilla_dim
         self.scale = scale
+        self.from_factors = build is not None
         self._matrix = matrix
         self._build = build
         self._block = matrix[:system_dim, :system_dim] if block is None else block
+        self._columns = columns
+        self._rows = rows
 
     @property
     def matrix(self) -> np.ndarray:
@@ -63,6 +68,14 @@ class BlockEncoding:
 
     def top_block(self) -> np.ndarray:
         return self._block
+
+    def leading_columns(self) -> np.ndarray:
+        """The system_dim leading columns of `matrix`."""
+        return self.matrix[:, : self.system_dim] if self._columns is None else self._columns
+
+    def leading_rows(self) -> np.ndarray:
+        """The system_dim leading rows of `matrix`."""
+        return self.matrix[: self.system_dim] if self._rows is None else self._rows
 
 
 @dataclass
@@ -140,46 +153,60 @@ def prepare_oracle(coeffs) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / nv
 
 
-def _block_diagonal(unitaries, n: int) -> np.ndarray:
-    """blkdiag(unitaries) of n x n blocks, identity-padded to a power-of-two count."""
-    blocks = 1 << max(0, (len(unitaries) - 1).bit_length())
+def _sandwich_matrix(b: np.ndarray, unitaries, n: int) -> np.ndarray:
+    """(B (x) I) blkdiag(unitaries, I, ...) (B (x) I), multiplied out."""
+    blocks = b.shape[0]
     sel = np.zeros((check_dim(blocks * n),) * 2, dtype=complex)
     for i in range(blocks):
         lo = i * n
         sel[lo : lo + n, lo : lo + n] = unitaries[i] if i < len(unitaries) else np.eye(n)
-    return sel
+    bw = kron(b, np.eye(n))
+    return bw @ sel @ bw
 
 
 def _signed_words(s: PauliSum) -> list:
+    """sign(coeff) * word matrix per term, so the prepare oracle sees only magnitudes."""
     if not s.terms:
         raise ContractError("empty sum")
     return [(-1.0 if c < 0 else 1.0) * word_matrix(w) for c, w in s.terms]
 
 
-def select_oracle(s: PauliSum) -> np.ndarray:
-    """Block-diagonal of sign(coeff) * word matrices, identity padded.
-
-    Coefficient signs are absorbed here so the prepare oracle only sees
-    magnitudes. For a single-term sum this is the signed word itself.
-    """
-    return _block_diagonal(_signed_words(s), s.dim)
+def _left_weighted(coef: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i coef[k, i] stack[i] for every k, for real coef and a complex stack."""
+    flat = stack.reshape(stack.shape[0], -1).view(float)
+    return (coef @ flat).view(complex).reshape((coef.shape[0],) + stack.shape[1:])
 
 
 def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     """Sum-of-unitaries encoding (B (x) I) blkdiag(unitaries, I, ...) (B (x) I).
 
     B is the prepare oracle of the non-negative weights, so the block is
-    sum_i w_i U_i / sum_i w_i; it is checked against target / scale. A
-    single unitary is its own encoding and needs no ancilla.
+    sum_i B[0, i] B[i, 0] U_i = sum_i w_i U_i / sum_i w_i; it is checked
+    against target / scale. B and every U_i are certified unitary on their
+    own. The block and the n leading columns and rows of the encoding
+    (block k of the columns is sum_i B[k, i] B[i, 0] U_i, and block j of the
+    rows sum_i B[0, i] U_i B[i, j]) then cost O(a L n^2); the identity
+    padding adds nothing, as B[i, 0] = B[0, i] = 0 beyond the L weights.
+    The (a n)-dimensional matrix is multiplied out only when `.matrix` is
+    read. A single unitary is its own encoding and needs no ancilla.
     """
     n = target.shape[0]
     if len(unitaries) == 1:
         enc, _ = _checked(unitaries[0], n, 1, scale, target)
         return enc
     b = prepare_oracle(weights)
-    bw = kron(b, np.eye(n))
-    u = bw @ _block_diagonal(unitaries, n) @ bw
-    enc, _ = _checked(u, n, b.shape[0], scale, target)
+    a = b.shape[0]
+    check_dim(a * n)
+    _require_unitary(b)
+    for u in unitaries:
+        _require_unitary(u)
+    stack = np.asarray(unitaries, dtype=complex)
+    lead = len(unitaries)
+    columns = _left_weighted(b[:, :lead] * b[:lead, 0], stack).reshape(a * n, n)
+    rows = _left_weighted(b[:lead].T * b[0, :lead], stack).transpose(1, 0, 2).reshape(n, a * n)
+    enc = BlockEncoding(None, n, a, scale, block=columns[:n], columns=columns, rows=rows,
+                        build=lambda: _sandwich_matrix(b, stack, n))
+    enc, _ = _block_checked(enc, target)
     return enc
 
 
@@ -284,24 +311,22 @@ def _series_matrix(uh_m: np.ndarray, a: int, n: int, b: np.ndarray) -> np.ndarra
     return bw @ phases @ v @ bw
 
 
-def _series_block(uh_m: np.ndarray, n: int, b: np.ndarray, route: np.ndarray) -> np.ndarray:
+def _series_block(columns: np.ndarray, rows: np.ndarray, b: np.ndarray, route: np.ndarray) -> np.ndarray:
     """Top n x n block of _series_matrix from the n leading columns of B (x) I.
 
     Branch q of those columns is b[q, 0] times the first n unit vectors;
     they pass c2o (U_H on branches 00 and 10), c1pi (a gather on branches
     10 and 11), c1uh (U_H on branches 10 and 11) and the branch phases, and
     the leading rows of B (x) I sum them with weights b[0, q]. `route` is
-    the gather index of c1pi. Only the first n rows of each branch are
-    read, so the cost is O(a n^3) against O((4 a n)^3) for the product.
+    the gather index of c1pi. Only the n leading columns and the n leading
+    rows of U_H are read, so the cost is O(a n^3) against O((4 a n)^3) for
+    the product.
     """
-    d = uh_m.shape[0]
+    d, n = columns.shape
     head = np.eye(d, n, dtype=complex)
-    uh_head = uh_m[:, :n]
-    slabs = [b[0, 0] * uh_head, b[1, 0] * head, b[2, 0] * uh_head, b[3, 0] * head]
-    routed = np.concatenate(slabs[2:])[route]
-    slabs[2] = uh_m[:n] @ routed[:d]
-    slabs[3] = uh_m[:n] @ routed[d:]
-    return sum(b[0, q] * _BRANCH_PHASES[q] * slabs[q][:n] for q in range(4))
+    routed = np.concatenate([b[2, 0] * columns, b[3, 0] * head])[route]
+    slabs = [b[0, 0] * columns[:n], b[1, 0] * head[:n], rows @ routed[:d], rows @ routed[d:]]
+    return sum(b[0, q] * _BRANCH_PHASES[q] * slabs[q] for q in range(4))
 
 
 def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, EncodedTarget]:
@@ -314,10 +339,12 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     where H is the physical operator, scale * top block of uh. Requires
     0 <= tau <= 1.
 
-    The block is computed from the factors, each certified: uh.matrix and
-    the coefficient gate are unitary, the routing map is a bijection and the
-    branch phases have unit modulus. The (4 * ancilla * system)-dimensional
-    circuit matrix is multiplied out only when `.matrix` is read.
+    The block is computed from the factors, each certified: uh is unitary
+    (an encoding given as a matrix is checked here, one built from factors
+    was checked by its builder), the coefficient gate is unitary, the
+    routing map is a bijection and the branch phases have unit modulus.
+    The (4 * ancilla * system)-dimensional circuit matrix is multiplied out
+    only when `.matrix` is read.
     """
     if t < 0:
         raise ContractError("time step must be non-negative")
@@ -327,9 +354,9 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     n = uh.system_dim
     a = uh.ancilla_dim
     check_dim(4 * a * n)
-    uh_m = uh.matrix
+    if not uh.from_factors:
+        _require_unitary(uh.matrix)
     b = b_gate(tau)
-    _require_unitary(uh_m)
     _require_unitary(b)
     route = pi_index(a, n) if a > 1 else np.arange(2 * n)  # no ancilla, nothing to route
     if not np.array_equal(np.sort(route), np.arange(2 * a * n)):
@@ -339,8 +366,9 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
 
     h_phys = uh.scale * uh.top_block()
     target = t * h_phys + 1j * (np.eye(n) - (t * t / 2.0) * (h_phys @ h_phys))
-    enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=_series_block(uh_m, n, b, route),
-                        build=lambda: _series_matrix(uh_m, a, n, b))
+    block = _series_block(uh.leading_columns(), uh.leading_rows(), b, route)
+    enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=block,
+                        build=lambda: _series_matrix(uh.matrix, a, n, b))
     return _block_checked(enc, target)
 
 
@@ -363,14 +391,3 @@ def apply_postselect(enc: BlockEncoding, psi) -> tuple[np.ndarray, float]:
         raise DegenerateProjectionError("post-selection probability below 1e-14")
     return out / math.sqrt(prob), prob
 
-
-def power_postselect(enc: BlockEncoding, psi, k: int) -> tuple[np.ndarray, float]:
-    """k successive post-selected applications; probability is the product."""
-    if k < 0 or int(k) != k:
-        raise ContractError("power must be a non-negative integer")
-    psi = np.asarray(psi, dtype=complex).ravel()
-    prob = 1.0
-    for _ in range(int(k)):
-        psi, p = apply_postselect(enc, psi)
-        prob *= p
-    return psi, prob

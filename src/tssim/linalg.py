@@ -63,11 +63,6 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(as_matrix(a)), axis=1)))
 
 
-def one_norm(a) -> float:
-    """Maximum absolute column sum."""
-    return float(np.max(np.sum(np.abs(as_matrix(a)), axis=0)))
-
-
 def is_unitary(u, tol: float) -> bool:
     """Whether max-abs(u^H u - I) is at most tol.
 

@@ -1,8 +1,12 @@
-"""Pauli words, weighted real sums of them, and fermionic ladder operators.
+"""Pauli words and weighted real sums of them.
 
 A word is a string over IXYZ. The leftmost character acts on the highest
 qubit index, the rightmost on qubit 0, so "ZX" means kron(sigma_z, sigma_x)
 and word order matches the usual sigma_{n-1} ... sigma_0 product notation.
+Matrices are built from the symplectic form of a word (Aaronson and
+Gottesman, arXiv:quant-ph/0406196): bit masks x and z, the leftmost letter
+the most significant bit, and the count of Y letters, with
+P|r> = i^#Y (-1)^popcount(r & z) |r XOR x>, a signed permutation.
 """
 
 from __future__ import annotations
@@ -13,34 +17,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .linalg import kron
+from .linalg import check_dim
 
 COEFF_DROP_TOL = 1e-15
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# |1><0| lowers the fermion number in this convention; its adjoint raises it.
-_SIG_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
-_SIG_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}  # (x, z) per letter
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 def _check_word(word: str) -> str:
-    if not word or any(ch not in _SINGLE for ch in word):
+    if not word or any(ch not in _BITS for ch in word):
         raise ContractError(f"invalid Pauli word {word!r}")
     return word
 
 
+def _word_action(word: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of a word's nonzero entries, one per column."""
+    x = z = 0
+    for ch in _check_word(word):
+        bx, bz = _BITS[ch]
+        x, z = (x << 1) | bx, (z << 1) | bz
+    cols = np.arange(check_dim(1 << len(word)))
+    parity = np.zeros(cols.size, dtype=np.int64)
+    for bit in range(len(word)):
+        if z >> bit & 1:
+            parity ^= cols >> bit & 1
+    return cols ^ x, cols, _I_POWERS[word.count("Y") % 4] * (1 - 2 * parity)
+
+
 def word_matrix(word: str) -> np.ndarray:
     """Dense matrix of a Pauli word, leftmost letter on the top qubit."""
-    _check_word(word)
-    m = np.eye(1, dtype=complex)
-    for ch in word:
-        m = kron(m, _SINGLE[ch])
+    rows, cols, values = _word_action(word)
+    m = np.zeros((cols.size, cols.size), dtype=complex)
+    m[rows, cols] = values
     return m
 
 
@@ -86,9 +95,10 @@ class PauliSum:
 
 def sum_matrix(s: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of the weighted word sum."""
-    m = np.zeros((s.dim, s.dim), dtype=complex)
+    m = np.zeros((check_dim(s.dim),) * 2, dtype=complex)
     for coeff, word in s.terms:
-        m += coeff * word_matrix(word)
+        rows, cols, values = _word_action(word)
+        m[rows, cols] += coeff * values
     return m
 
 
@@ -104,28 +114,6 @@ def normalize_for_encoding(s: PauliSum) -> tuple[PauliSum, float]:
     if scale <= 0.0:
         raise ContractError("coefficient 1-norm is zero")
     return PauliSum([(c / scale, w) for c, w in s.terms]), scale
-
-
-def _jw_chain(core: np.ndarray, j: int, n: int) -> np.ndarray:
-    if not 0 <= j < n:
-        raise ContractError(f"mode index {j} out of range for {n} qubits")
-    m = np.eye(1, dtype=complex)
-    for _ in range(n - j - 1):
-        m = kron(m, _SINGLE["I"])
-    m = kron(m, core)
-    for _ in range(j):
-        m = kron(m, _SINGLE["Z"])
-    return m
-
-
-def jw_annihilation(j: int, n: int) -> np.ndarray:
-    """Jordan-Wigner annihilation operator for mode j on n qubits."""
-    return _jw_chain(_SIG_PLUS, j, n)
-
-
-def jw_creation(j: int, n: int) -> np.ndarray:
-    """Adjoint of jw_annihilation."""
-    return _jw_chain(_SIG_MINUS, j, n)
 
 
 # Minimal-basis hydrogen molecule after qubit reduction: 15 words on 4 qubits.
@@ -175,7 +163,7 @@ def parse_pauli_file(text: str) -> PauliSum:
             raise ParseError(f"line {lineno}: bad coefficient {coeff_text!r}") from None
         if not math.isfinite(coeff):
             raise ParseError(f"line {lineno}: non-finite coefficient {coeff_text!r}")
-        if any(ch not in _SINGLE for ch in word):
+        if any(ch not in _BITS for ch in word):
             raise ParseError(f"line {lineno}: bad Pauli word {word!r}")
         if width is None:
             width = len(word)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from tssim import encoding
 from tssim.cli import RunConfig, main, run
 from tssim.decompose import dense_to_json
+from tssim.pauli import PauliSum
 
 H2_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
 
@@ -262,6 +265,45 @@ def test_verify_rejects_fractional_mask(tmp_path):
     doc = _decompose_doc(tmp_path)
     doc["terms"][0]["x_mask"] += 0.5
     assert _verify(tmp_path, doc)[0] == 2
+
+
+def test_verify_rejects_infinite_weight_without_warnings(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["terms"][1]["beta"] = float("inf")  # json writes Infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, vdoc = _verify(tmp_path, doc)
+    assert code == 3
+    assert "branch 1" in vdoc["error"]["message"]
+
+
+def test_verify_rejects_huge_block_entry_without_warnings(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["terms"][1]["v_blocks"][0][3] = [1e200, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, vdoc = _verify(tmp_path, doc)
+    assert code == 3
+    assert "branch 1" in vdoc["error"]["message"]
+
+
+def test_commands_never_multiply_out_the_sum_encoding(tmp_path, monkeypatch):
+    builds = []
+    dense = encoding._sandwich_matrix
+    monkeypatch.setattr(encoding, "_sandwich_matrix", lambda *a: builds.append(1) or dense(*a))
+    m = write_dense(tmp_path, np.random.default_rng(8).normal(size=(8, 8)))
+    for cfg in (RunConfig(command="decompose", input_path=m, format="dense"),
+                RunConfig(command="decompose", input_path=H2_PATH),
+                RunConfig(command="estimate", input_path=H2_PATH, method="taylor", t=0.2, bits=8),
+                RunConfig(command="estimate", input_path=H2_PATH, method="dc", bits=8),
+                RunConfig(command="h2", bits=8)):
+        code, _ = run(cfg)
+        assert code == 0
+    assert builds == []
+    uh = encoding.uh_from_sum(PauliSum([(0.5, "XZ"), (-0.25, "YY")]))
+    first = uh.matrix
+    assert uh.matrix is first
+    assert builds == [1]
 
 
 @pytest.mark.parametrize("key", ["entries", "real"])

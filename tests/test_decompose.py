@@ -15,20 +15,12 @@ from tssim.decompose import (
     reconstruct,
     reconstruction_residual,
     recursive_decompose,
-    split_blocks,
     term_matrix,
     unitary_split,
-    x_pattern_permutation,
 )
 from tssim.errors import ContractError, DomainError, ParseError, SizeError
 from tssim.linalg import max_abs
 from tssim.pauli import h2_hamiltonian, sum_matrix
-
-
-def test_split_blocks_quadrants():
-    m = np.arange(16).reshape(4, 4)
-    a0, a1, a2, a3 = split_blocks(m)
-    assert a0[0, 0] == 0 and a1[0, 0] == 2 and a2[0, 0] == 8 and a3[0, 0] == 10
 
 
 def test_leaf_slice_walks_quadrants():
@@ -141,14 +133,6 @@ def test_reconstruction_random_matrices():
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             d = build_decomposition(m)
             assert reconstruction_residual(d, m) < 1e-9
-
-
-def test_x_pattern_permutation_is_xor():
-    p = x_pattern_permutation(2, 2)
-    for r in range(4):
-        e = np.zeros(4)
-        e[r] = 1.0
-        assert np.argmax(p @ e) == (r ^ 2)
 
 
 def test_term_matrix_block_placement():

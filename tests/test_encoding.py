@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tssim import encoding
+from tssim.decompose import assemble_uh, build_decomposition
 from tssim.encoding import (
     BlockEncoding,
     b_gate,
@@ -12,9 +13,8 @@ from tssim.encoding import (
     dilation_sqrt,
     pi_index,
     pi_permutation,
-    power_postselect,
     prepare_oracle,
-    select_oracle,
+    prepare_select,
     taylor_encoding,
     uh_from_sum,
 )
@@ -46,14 +46,13 @@ def test_prepare_oracle_rejects_negative_weights():
         prepare_oracle([0.5, -0.1])
 
 
-def test_select_oracle_applies_signed_words():
+def test_signed_words_absorb_coefficient_signs():
     s = PauliSum([(0.5, "X"), (-0.25, "Z")])
-    sel = select_oracle(s)
-    assert sel.shape == (4, 4)
+    x_word, z_word = encoding._signed_words(s)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0])
-    assert max_abs(sel[:2, :2] - x) < 1e-15
-    assert max_abs(sel[2:, 2:] + z) < 1e-15  # sign absorbed into the word
+    assert max_abs(x_word - x) < 1e-15
+    assert max_abs(z_word + z) < 1e-15  # sign absorbed into the word
 
 
 def test_uh_block_equals_sum_over_scale():
@@ -64,6 +63,39 @@ def test_uh_block_equals_sum_over_scale():
         assert is_unitary(uh.matrix, 1e-9)
         assert max_abs(uh.top_block() * uh.scale - sum_matrix(s)) < 1e-9
         assert uh.scale == pytest.approx(s.coefficient_one_norm())
+
+
+def small_sum_encodings(seed):
+    """Pauli and divide-and-conquer sum encodings at 1 to 3 qubits."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        s, _ = normalize_for_encoding(random_sum(rng, n=n, terms=rng.integers(2, 8)))
+        out.append(uh_from_sum(s))
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        out.append(assemble_uh(build_decomposition(m)))
+    return out
+
+
+def test_stored_slabs_equal_the_multiplied_out_matrix():
+    for uh in small_sum_encodings(29):
+        n = uh.system_dim
+        block, columns, rows = uh.top_block(), uh.leading_columns(), uh.leading_rows()
+        assert uh.from_factors == (uh.ancilla_dim > 1)
+        assert max_abs(block - uh.matrix[:n, :n]) < 1e-12
+        assert columns.shape == (n * uh.ancilla_dim, n)
+        assert max_abs(columns - uh.matrix[:, :n]) < 1e-12
+        assert rows.shape == (n, n * uh.ancilla_dim)
+        assert max_abs(rows - uh.matrix[:n]) < 1e-12
+
+
+def test_prepare_select_rejects_a_non_unitary_factor():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    bent = np.diag([1.0, -0.5]).astype(complex)
+    target = 0.5 * x + 0.5 * bent  # the block matches: only the factor check sees it
+    with pytest.raises(DomainError, match="not unitary"):
+        prepare_select([0.5, 0.5], [x, bent], 1.0, target)
 
 
 def test_uh_single_term_needs_no_ancilla():
@@ -155,17 +187,6 @@ def test_postselect_success_probability():
     assert max_abs(out - want / np.linalg.norm(want)) < 1e-12
 
 
-def test_postselect_powers_multiply():
-    s, _ = normalize_for_encoding(PauliSum([(0.7, "Z"), (0.3, "X")]))
-    uh = uh_from_sum(s)
-    psi = np.array([1.0, 0.0])
-    _, p1 = apply_postselect(uh, psi)
-    out1, _ = apply_postselect(uh, psi)
-    _, p2_step = apply_postselect(uh, out1)
-    _, p2 = power_postselect(uh, psi, 2)
-    assert p2 == pytest.approx(p1 * p2_step)
-
-
 def test_postselect_degenerate_projection():
     s = PauliSum([(0.5, "I"), (0.5, "Z")])  # block diag(1, 0) annihilates |1>
     uh = uh_from_sum(s)
@@ -181,10 +202,10 @@ def test_series_respects_dimension_cap(monkeypatch):
         taylor_encoding(uh, 0.2)  # dimension 4 * 256 = 1024
 
 
-def test_select_oracle_respects_dimension_cap(monkeypatch):
+def test_sum_encoding_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("TS_SIM_MAX_DIM", "128")
     with pytest.raises(SizeError):
-        select_oracle(h2_hamiltonian())  # 16 blocks of 16
+        uh_from_sum(h2_hamiltonian())  # 16 blocks of 16
 
 
 # The factor path: the series block comes from the certified factors, and the

@@ -14,7 +14,6 @@ from tssim.linalg import (
     is_unitary,
     kron,
     max_abs,
-    one_norm,
     sqrtm_psd,
 )
 
@@ -38,7 +37,6 @@ def test_as_matrix_rejects_non_finite():
 def test_norms_match_definitions():
     m = np.array([[1.0, -2.0], [3.0, 4.0j]])
     assert inf_norm(m) == pytest.approx(7.0)
-    assert one_norm(m) == pytest.approx(6.0)
     assert max_abs(m) == pytest.approx(4.0)
 
 

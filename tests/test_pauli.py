@@ -1,5 +1,8 @@
 """Pauli algebra, the embedded hydrogen Hamiltonian, and file parsing."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,6 @@ from tssim.pauli import (
     PauliSum,
     format_pauli_sum,
     h2_hamiltonian,
-    jw_annihilation,
-    jw_creation,
     normalize_for_encoding,
     parse_pauli_file,
     sum_matrix,
@@ -27,6 +28,25 @@ def test_word_matrix_matches_kron_oracle():
     got = word_matrix("XZY")
     want = np.kron(np.kron(X, Z), Y)
     assert max_abs(got - want) == 0.0
+
+
+def test_every_short_word_matches_kron_oracle():
+    single = {"I": I2, "X": X, "Y": Y, "Z": Z}
+    for n in (1, 2, 3):
+        for letters in itertools.product("IXYZ", repeat=n):
+            want = reduce(np.kron, [single[ch] for ch in letters])
+            assert np.array_equal(word_matrix("".join(letters)), want), letters
+
+
+def test_sum_matrix_matches_kron_oracle():
+    single = {"I": I2, "X": X, "Y": Y, "Z": Z}
+    rng = np.random.default_rng(4)
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=3)]
+    s = PauliSum([(float(rng.normal()), str(w)) for w in rng.choice(words, 12, replace=False)])
+    want = np.zeros((8, 8), dtype=complex)
+    for c, w in s.terms:
+        want += c * reduce(np.kron, [single[ch] for ch in w])
+    assert np.array_equal(sum_matrix(s), want)
 
 
 def test_word_matrix_leftmost_letter_is_top_qubit():
@@ -66,18 +86,6 @@ def test_normalize_unit_one_norm():
     assert scale == pytest.approx(4.0)
     assert s_n.coefficient_one_norm() == pytest.approx(1.0)
     assert max_abs(sum_matrix(s_n) * scale - sum_matrix(s)) < 1e-12
-
-
-def test_jw_operators_satisfy_anticommutation():
-    n = 3
-    for j in range(n):
-        aj = jw_annihilation(j, n)
-        cj = jw_creation(j, n)
-        assert max_abs(cj - aj.conj().T) < 1e-15
-        assert max_abs(aj @ cj + cj @ aj - np.eye(2**n)) < 1e-14
-        assert max_abs(aj @ aj) < 1e-15
-    a0, a1 = jw_annihilation(0, n), jw_annihilation(1, n)
-    assert max_abs(a0 @ a1 + a1 @ a0) < 1e-14
 
 
 def test_h2_term_count_and_norms():
