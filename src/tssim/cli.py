@@ -9,6 +9,7 @@ domain violations, 4 numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -318,6 +319,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         return code, _error_doc(e, code)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tssim",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import BlockEncoding, prepare_select
-from .errors import ContractError, DomainError, NumericError, ParseError
+from .errors import ContractError, DomainError, ParseError
 from .linalg import as_matrix, inf_norm, max_abs
 
 PRUNE_TOL_DEFAULT = 1e-14
@@ -39,7 +39,8 @@ class LeafBlock:
 class DecompositionTerm:
     """One unitary branch of one group.
 
-    v_blocks holds a 2x2 unitary per block row; the term's matrix is
+    v_blocks holds a 2x2 unitary per block row, as a (rows, 2, 2) array
+    or a list of 2x2 arrays; the term's matrix is
     blkdiag(v_blocks) @ (P_xmask (x) I_2). Bit i of x_mask (counted from
     the most significant word position) marks an X factor.
     """
@@ -125,69 +126,61 @@ def recursive_decompose(m) -> list:
     return groups
 
 
-def _spectral_norm_2x2(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
-def _root_2x2(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 matrix via the trace identity."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    sq = np.sqrt(complex(det))
-    tr = m[0, 0] + m[1, 1]
+def _unitary_leaves(u: np.ndarray, tol: float) -> np.ndarray:
+    """Per leaf of a (k, 2, 2) stack: whether max-abs(u^H u - I) is at most tol."""
+    return np.abs(_dagger(u) @ u - np.eye(2)).max(axis=(1, 2)) <= tol
+
+
+def _split_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write each leaf of a (k, 2, 2) stack of contractions as the mean of two unitaries.
+
+    Masks pick one branch per leaf. A Hermitian leaf takes a +- i sqrt(I - a^2)
+    with the eigh root, exactly the cosine/sine pairing; any other leaf takes
+    the principal root from the trace identity. A defective root, or a pair
+    that fails the unitarity check, falls back to the singular-value form
+    W (S +- i sqrt(I - S^2)) V^H, unitary for any leaf of spectral norm at
+    most 1 and still summing to 2a. The numpy calls made do not depend on k.
+    """
+    if np.any(np.linalg.svd(a, compute_uv=False)[:, 0] > 1.0 + 1e-12):
+        raise DomainError("leaf norm exceeds 1; caller must pre-scale")
+    m = np.eye(2) - a @ a
+    hermitian = np.abs(a - _dagger(a)).max(axis=(1, 2)) <= 1e-12
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2.0)
+    s_herm = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ _dagger(v)
+
+    # principal root (m + sq I) / tau, tau^2 = tr(m) + 2 sq, sq^2 = det(m)
+    sq = np.sqrt(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+    tr = m[:, 0, 0] + m[:, 1, 1]
     tau_sq = tr + 2.0 * sq
-    if abs(tau_sq) < 1e-30:
-        tau_sq = tr - 2.0 * sq
-        sq = -sq
-        if abs(tau_sq) < 1e-30:
-            raise NumericError("defective 2x2 square root")
-    tau = np.sqrt(complex(tau_sq))
-    root = (m + sq * np.eye(2)) / tau
-    if root.trace().real < 0:
-        root = -root
-    return root
+    flip = np.abs(tau_sq) < 1e-30
+    tau_sq = np.where(flip, tr - 2.0 * sq, tau_sq)
+    sq = np.where(flip, -sq, sq)
+    defective = np.abs(tau_sq) < 1e-30
+    root = (m + sq[:, None, None] * np.eye(2)) / np.sqrt(np.where(defective, 1.0, tau_sq))[:, None, None]
+    root = np.where((root[:, 0, 0] + root[:, 1, 1]).real[:, None, None] < 0, -root, root)
 
-
-def _svd_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, sig, vh = np.linalg.svd(a)
-    root = np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
-    u_plus = (w * (sig + 1j * root)) @ vh
-    u_minus = (w * (sig - 1j * root)) @ vh
+    s = np.where(hermitian[:, None, None], s_herm, root)
+    u_plus = a + 1j * s
+    u_minus = a - 1j * s
+    bad = (defective & ~hermitian) | ~(_unitary_leaves(u_plus, UNITARY_TOL) & _unitary_leaves(u_minus, UNITARY_TOL))
+    w, sig, vh = np.linalg.svd(a[bad])
+    rot = np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
+    u_plus[bad] = (w * (sig + 1j * rot)[:, None, :]) @ vh
+    u_minus[bad] = (w * (sig - 1j * rot)[:, None, :]) @ vh
     return u_plus, u_minus
 
 
-def _is_unitary_2x2(u: np.ndarray, tol: float) -> bool:
-    return max_abs(u.conj().T @ u - np.eye(2)) <= tol
-
-
 def unitary_split(a) -> tuple[np.ndarray, np.ndarray]:
-    """Write a 2x2 contraction as the mean of two unitaries.
-
-    For a Hermitian leaf this is a +- i sqrt(I - a^2) with the principal
-    root, exactly the cosine/sine pairing. Otherwise the principal-root
-    formula usually fails the unitarity check and the split falls back to
-    the singular-value form W (S +- i sqrt(I - S^2)) V^H, which is unitary
-    for any leaf with spectral norm at most 1 and still sums to 2a.
-    """
+    """Write a 2x2 contraction as the mean of two unitaries (one leaf of _split_leaves)."""
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ContractError(f"expected a 2x2 leaf, got {a.shape}")
-    if _spectral_norm_2x2(a) > 1.0 + 1e-12:
-        raise DomainError("leaf norm exceeds 1; caller must pre-scale")
-    m = np.eye(2) - a @ a
-    hermitian = max_abs(a - a.conj().T) <= 1e-12
-    if hermitian:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    else:
-        try:
-            s = _root_2x2(m)
-        except NumericError:
-            return _svd_split(a)
-    u_plus = a + 1j * s
-    u_minus = a - 1j * s
-    if _is_unitary_2x2(u_plus, UNITARY_TOL) and _is_unitary_2x2(u_minus, UNITARY_TOL):
-        return u_plus, u_minus
-    return _svd_split(a)
+    u_plus, u_minus = _split_leaves(a[None])
+    return u_plus[0], u_minus[0]
 
 
 def build_decomposition(m, prune_tol: float = PRUNE_TOL_DEFAULT) -> Decomposition:
@@ -197,37 +190,33 @@ def build_decomposition(m, prune_tol: float = PRUNE_TOL_DEFAULT) -> Decompositio
     leaves are all below prune_tol are dropped. A group whose leaves are
     already unitary (zero rotation part) collapses to a single branch with
     weight 1; every other group contributes two branches of weight 1/2.
+    Leaf (j, r) of group j is m[2r:2r+2, 2(r^j):2(r^j)+2]; all leaves are
+    scaled, checked and split as one (groups, rows, 2, 2) array.
     """
     m, n = _check_pow2_dim(m)
     if prune_tol < 0:
         raise ContractError("prune tolerance must be non-negative")
-    nrm = inf_norm(m)
-    scale = nrm if nrm > 1.0 else 1.0
-    groups = recursive_decompose(m)
+    scale = max(inf_norm(m), 1.0)
+    rows = 2 ** (n - 1)
+    r = np.arange(rows)
+    leaves = m.reshape(rows, 2, rows, 2).swapaxes(1, 2)[r, r ^ r[:, None]]
 
     # The infinity norm bounds each leaf's row sums but not, for strongly
     # non-normal input, its spectral norm; widen the scale if any leaf needs it.
-    worst = 0.0
-    for _, _, blocks in groups:
-        for leaf in blocks:
-            sig = _spectral_norm_2x2(leaf.entries / scale)
-            if sig > worst:
-                worst = sig
+    worst = float(np.linalg.svd(leaves / scale, compute_uv=False)[..., 0].max())
     if worst > 1.0:
         scale *= worst * (1.0 + 1e-12)
+        if math.isinf(scale):
+            raise ContractError("scale widened for a non-normal leaf overflows")
 
+    scaled = leaves / scale
+    kept = np.flatnonzero(~(np.abs(scaled).max(axis=(1, 2, 3)) < prune_tol))
+    u_plus, u_minus = (u.reshape(len(kept), rows, 2, 2) for u in _split_leaves(scaled[kept].reshape(-1, 2, 2)))
+    collapsed = np.abs(u_plus - u_minus).max(axis=(1, 2, 3)) < 1e-12
     terms = []
-    for j, x_mask, blocks in groups:
-        scaled = [leaf.entries / scale for leaf in blocks]
-        if max(max_abs(b) for b in scaled) < prune_tol:
-            continue
-        splits = [unitary_split(b) for b in scaled]
-        rotation = max(max_abs(up - um) for up, um in splits)
-        if rotation < 1e-12:
-            terms.append(DecompositionTerm(j=j, beta=1.0, v_blocks=[up for up, _ in splits], x_mask=x_mask))
-        else:
-            terms.append(DecompositionTerm(j=j, beta=0.5, v_blocks=[up for up, _ in splits], x_mask=x_mask))
-            terms.append(DecompositionTerm(j=j, beta=0.5, v_blocks=[um for _, um in splits], x_mask=x_mask))
+    for g, j in enumerate(kept.tolist()):
+        halves = ((1.0, u_plus),) if collapsed[g] else ((0.5, u_plus), (0.5, u_minus))
+        terms += [DecompositionTerm(j=j, beta=beta, v_blocks=u[g], x_mask=j) for beta, u in halves]
     return Decomposition(n=n, terms=terms, scale=scale)
 
 
@@ -236,19 +225,21 @@ def term_matrix(term: DecompositionTerm, n: int) -> np.ndarray:
     rows = 2 ** (n - 1)
     if len(term.v_blocks) != rows:
         raise ContractError("v_blocks count does not match dimension")
-    dim = 2 * rows
-    out = np.zeros((dim, dim), dtype=complex)
-    for r in range(rows):
-        c = r ^ term.x_mask
-        out[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = term.v_blocks[r]
+    out = np.zeros((2 * rows, 2 * rows), dtype=complex)
+    r = np.arange(rows)
+    out.reshape(rows, 2, rows, 2)[r, :, r ^ term.x_mask] = term.v_blocks
     return out
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """scale * sum of beta-weighted branch matrices."""
+    rows = d.dim // 2
     out = np.zeros((d.dim, d.dim), dtype=complex)
+    r = np.arange(rows)
     for term in d.terms:
-        out += term.beta * term_matrix(term, d.n)
+        if len(term.v_blocks) != rows:
+            raise ContractError("v_blocks count does not match dimension")
+        out.reshape(rows, 2, rows, 2)[r, :, r ^ term.x_mask] += term.beta * np.asarray(term.v_blocks)
     return d.scale * out
 
 
@@ -284,9 +275,10 @@ def check_terms(d: Decomposition, dim: int, tol: float) -> None:
             raise ContractError(f"branch {i} has weight {t.beta}, not a finite non-negative number")
         if not 0 <= t.x_mask < rows or len(t.v_blocks) != rows:
             raise ContractError(f"branch {i} has a bad mask or block count")
-        if not all(np.all(np.abs(b) <= 1.0 + tol) for b in t.v_blocks):
+        blocks = np.asarray(t.v_blocks)
+        if not np.all(np.abs(blocks) <= 1.0 + tol):
             raise ContractError(f"branch {i} has a block entry of modulus above 1 + {tol}")
-        if not all(_is_unitary_2x2(b, tol) for b in t.v_blocks):
+        if not np.all(_unitary_leaves(blocks, tol)):
             raise ContractError(f"branch {i} has a block that is not unitary within {tol}")
     if not math.isfinite(d.scale * math.fsum(t.beta for t in d.terms)):
         raise ContractError("scale times the summed branch weights overflows")
@@ -338,13 +330,15 @@ def load_dense_json(doc: dict) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+def _re_im(a: np.ndarray, shape: tuple) -> list:
+    """Nested lists of [re, im] pairs of a complex array, reshaped to shape + (2,)."""
+    return np.stack((a.real, a.imag), axis=-1).reshape(shape + (2,)).tolist()
+
+
 def dense_to_json(m) -> dict:
     """Row-major [re, im] pair encoding of a dense matrix."""
     m = as_matrix(m)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
-    }
+    return {"dim": int(m.shape[0]), "entries": _re_im(m, (-1,))}
 
 
 def decomposition_to_json(d: Decomposition, m=None) -> dict:
@@ -360,7 +354,7 @@ def decomposition_to_json(d: Decomposition, m=None) -> dict:
                 "j": t.j,
                 "x_mask": t.x_mask,
                 "beta": t.beta,
-                "v_blocks": [[[float(z.real), float(z.imag)] for z in blk.ravel()] for blk in t.v_blocks],
+                "v_blocks": _re_im(np.asarray(t.v_blocks), (-1, 4)),
             }
             for t in d.terms
         ],

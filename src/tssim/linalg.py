@@ -59,8 +59,12 @@ def max_abs(a) -> float:
 
 
 def inf_norm(a) -> float:
-    """Maximum absolute row sum."""
-    return float(np.max(np.sum(np.abs(as_matrix(a)), axis=1)))
+    """Maximum absolute row sum; a row sum that overflows raises ContractError."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.max(np.sum(np.abs(as_matrix(a)), axis=1)))
+    if not np.isfinite(nrm):
+        raise ContractError(f"largest absolute row sum {nrm} is not finite")
+    return nrm
 
 
 def is_unitary(u, tol: float) -> bool:

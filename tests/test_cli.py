@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tssim import encoding
+from tssim import cli, encoding
 from tssim.cli import RunConfig, main, run
 from tssim.decompose import dense_to_json
 from tssim.pauli import PauliSum
@@ -207,6 +207,28 @@ def test_main_rejects_unknown_flags():
     assert e.value.code == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    argvs = [["gates", "--input", H2_PATH, "--method", "select"],
+             ["estimate", "--input", H2_PATH, "--method", "dc", "--bits", "8"],
+             ["estimate", "--input", H2_PATH, "--bits", "8"],  # method falls back to exact
+             ["h2", "--bits", "8"]]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    assert json.loads(fresh[2])["method"] == "exact"
+    for _ in range(2):
+        for argv, want in zip(argvs, fresh):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+        with pytest.raises(SystemExit) as e:
+            main(["gates", "--method", "select", "--frobnicate"])
+        assert e.value.code == 2
+        capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_identical_config_bytes(capsys):
     args = ["h2", "--bits", "10"]
     assert main(args) == 0
@@ -365,3 +387,27 @@ def test_run_config_time_defaults_follow_the_command(tmp_path):
     code, doc = run(RunConfig(command="estimate", input_path=str(p), bits=8))
     assert code == 0
     assert doc["t"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["gates", "--method", "dc"]])
+def test_overflowing_row_sum_exits_3_without_warnings(tmp_path, capsys, argv):
+    # every entry is finite; only the first row sum overflows
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "real": [1e308, 1e308, 0, 0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + ["--input", str(path), "--format", "dense"])
+    err = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert err["error"]["message"] == "largest absolute row sum inf is not finite"
+
+
+def test_verify_rejects_overflowing_row_sum_without_warnings(tmp_path):
+    # an infinite norm made the tolerance infinite, so any residual passed
+    doc = _decompose_doc(tmp_path)
+    doc["matrix"] = {"dim": 4, "real": [1e308, 1e308] + [0.0] * 14}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, vdoc = _verify(tmp_path, doc)
+    assert code == 3
+    assert vdoc["error"]["message"] == "largest absolute row sum inf is not finite"

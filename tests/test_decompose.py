@@ -1,8 +1,11 @@
 """Quadrant-word bookkeeping, unitary splits, and reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from tssim import decompose
 from tssim.decompose import (
     Decomposition,
     assemble_uh,
@@ -218,3 +221,130 @@ def test_decomposition_json_round_trip():
 def test_build_rejects_non_power_of_two():
     with pytest.raises(ContractError):
         build_decomposition(np.eye(6))
+
+
+def test_build_rejects_overflowing_widened_scale_without_warnings():
+    # finite row sums, but the leaf's spectral norm is sqrt(2) times larger
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="overflows"):
+            build_decomposition(np.array([[1.5e308, 0.0], [1.5e308, 0.0]]))
+
+
+def test_leaf_gather_matches_recursive_decompose(monkeypatch):
+    split = decompose._split_leaves
+    seen = []
+    monkeypatch.setattr(decompose, "_split_leaves", lambda a: seen.append(a) or split(a))
+    rng = np.random.default_rng(41)
+    for dim in (2, 4, 8, 16, 32, 64):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        seen.clear()
+        d = build_decomposition(m, prune_tol=0.0)  # keeps every group, in order of j
+        entries = [leaf.entries for _, _, blocks in recursive_decompose(m) for leaf in blocks]
+        assert np.array_equal(seen[0], np.array(entries) / d.scale)
+
+
+def _reference_split(a):
+    """The former per-leaf split, formula by formula: (branch, u_plus, u_minus)."""
+
+    def svd_form(branch):
+        w, sig, vh = np.linalg.svd(a)
+        root = np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
+        return branch, (w * (sig + 1j * root)) @ vh, (w * (sig - 1j * root)) @ vh
+
+    m = np.eye(2) - a @ a
+    if max_abs(a - a.conj().T) <= 1e-12:
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        branch, s = "hermitian", (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    else:
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        sq = np.sqrt(complex(det))
+        tr = m[0, 0] + m[1, 1]
+        tau_sq = tr + 2.0 * sq
+        if abs(tau_sq) < 1e-30:
+            tau_sq = tr - 2.0 * sq
+            sq = -sq
+            if abs(tau_sq) < 1e-30:
+                return svd_form("defective")
+        root = (m + sq * np.eye(2)) / np.sqrt(complex(tau_sq))
+        branch, s = "principal", -root if root.trace().real < 0 else root
+    u_plus, u_minus = a + 1j * s, a - 1j * s
+    if all(max_abs(u.conj().T @ u - np.eye(2)) <= 1e-10 for u in (u_plus, u_minus)):
+        return branch, u_plus, u_minus
+    return svd_form("fallback")
+
+
+def _branch_stack(rng):
+    """Seeded contractions that take every branch of the split."""
+    leaves = []
+    for _ in range(40):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = (g + g.conj().T) / 2.0
+        h /= np.linalg.svd(h, compute_uv=False)[0] * (1.1 + rng.random())
+        leaves.append(h)  # Hermitian
+        leaves.append(h + 1e-11 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))  # principal root
+        leaves.append(g / (np.linalg.svd(g, compute_uv=False)[0] * (1.0 + rng.random())))  # unitarity fallback
+    for eps in (6e-13, 8e-13, 9e-13):
+        # norm 1 + eps, anti-Hermitian part 2 eps > 1e-12, and a^2 rounds to I:
+        # I - a^2 = 0 has a defective root
+        for off in (1.0, -1.0, 1j):
+            leaves.append(np.array([[1j * eps, off], [np.conj(off), -1j * eps]]))
+    leaves.append(np.array([[0.0, 0.9], [0.0, 0.0]]))
+    return np.array(leaves, dtype=complex)
+
+
+def test_split_leaves_takes_the_per_leaf_branches(monkeypatch):
+    stack = _branch_stack(np.random.default_rng(59))
+    reference = [_reference_split(a) for a in stack]
+    branches = np.array([b for b, _, _ in reference])
+    assert set(branches) == {"hermitian", "principal", "defective", "fallback"}
+
+    svd = np.linalg.svd
+    full_svd_inputs = []
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full_svd_inputs.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    u_plus, u_minus = decompose._split_leaves(stack)
+    (fallen,) = full_svd_inputs
+    assert np.array_equal(fallen, stack[np.isin(branches, ["defective", "fallback"])])
+    for k, (_, up, um) in enumerate(reference):
+        assert max_abs(u_plus[k] - up) <= 1e-15
+        assert max_abs(u_minus[k] - um) <= 1e-15
+
+
+def test_numpy_linalg_calls_do_not_grow_with_dimension(monkeypatch):
+    calls = []
+    for name in ("svd", "eigh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    rng = np.random.default_rng(61)
+    counts = []
+    for dim in (4, 64):
+        calls.clear()
+        build_decomposition(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tridiagonal_keeps_n_groups(n):
+    dim = 2**n
+    rng = np.random.default_rng(n)
+    off = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    m = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    assert build_decomposition(m).group_count() == n
+
+
+def test_sparse_groups_are_the_distinct_block_xors():
+    rng = np.random.default_rng(67)
+    m = np.where(rng.random((64, 64)) < 0.02, rng.normal(size=(64, 64)), 0.0)
+    rows, cols = np.nonzero(m)
+    xors = {int(r) // 2 ^ int(c) // 2 for r, c in zip(rows, cols)}
+    assert 1 < len(xors) < 32
+    d = build_decomposition(m)
+    assert d.group_count() == len(xors)
+    assert reconstruction_residual(d, m) < 1e-12
