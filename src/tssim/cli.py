@@ -30,7 +30,7 @@ from .decompose import (
 from .encoding import taylor_encoding, uh_from_sum
 from .errors import ContractError, NumericError, ParseError, TssimError
 from .gates import GateCount, count_dc, count_dense, count_multiplexor, count_select_path
-from .linalg import hermitian_eig, inf_norm, max_abs
+from .linalg import hermitian_eig, inf_norm
 from .pauli import h2_hamiltonian, parse_pauli_file, sum_matrix
 from .phase import MAX_BITS, estimate_ground_energy, histogram_prob_diff
 
@@ -134,16 +134,16 @@ def _cmd_encode(cfg: RunConfig) -> dict:
         "system_dim": int(uh.system_dim),
         "ancilla_dim": int(uh.ancilla_dim),
         "scale": float(uh.scale),
-        "block_residual": float(max_abs(uh.top_block() * uh.scale - sum_matrix(s))),
+        "block_residual": float(uh.residual),
     }
     if cfg.t > 0:
-        enc, target = taylor_encoding(uh, cfg.t)
+        enc, _ = taylor_encoding(uh, cfg.t)
         doc["series"] = {
             "t": float(cfg.t),
             "system_dim": int(enc.system_dim),
             "ancilla_dim": int(enc.ancilla_dim),
             "scale": float(enc.scale),
-            "block_residual": float(max_abs(enc.top_block() * enc.scale - target.target)),
+            "block_residual": float(enc.residual),
         }
         if cfg.emit_matrix:
             doc["series"]["matrix"] = [
@@ -182,10 +182,11 @@ def _cmd_verify(cfg: RunConfig) -> dict:
     residual = reconstruction_residual(d, m)
     if not residual <= tol:
         raise ContractError(f"reconstruction residual {residual} exceeds tolerance {tol}")
-    try:
-        reported = float(doc.get("residual", 1e-9))
-    except (TypeError, ValueError):
-        raise ParseError("reported residual is not a number") from None
+    reported = doc.get("residual")  # echoed back, never trusted; null when absent
+    if "residual" in doc:  # a bool's type is not int; an int may exceed the float range
+        if type(reported) not in (int, float) or not abs(reported) <= sys.float_info.max:
+            raise ParseError("reported residual is not a finite number")
+        reported = float(reported)
     return {
         "schema": SCHEMA,
         "command": "verify",
@@ -246,6 +247,7 @@ def _cmd_h2(cfg: RunConfig) -> dict:
     e0 = float(hermitian_eig(h).values[0])
     d = build_decomposition(h)
     enc = assemble_uh(d)
+    dc_gates = _gate_doc(count_dc(d))
     bits = int(cfg.bits)
     routes = {}
     for method, t in (("exact", 1.0), ("taylor", 0.2), ("dc", 1.0)):
@@ -275,8 +277,8 @@ def _cmd_h2(cfg: RunConfig) -> dict:
             "scale": float(d.scale),
             "residual": float(reconstruction_residual(d, h)),
             "ancilla_dim": int(enc.ancilla_dim),
-            "gates": _gate_doc(count_dc(d))["singles"],
-            "cnots": _gate_doc(count_dc(d))["cnots"],
+            "gates": dc_gates["singles"],
+            "cnots": dc_gates["cnots"],
             "cnots_with_estimation_control": _gate_doc(count_dc(d, pea_control=True))["cnots"],
         },
         "dense_bound_cnots": _gate_doc(count_dense(h.shape[0]))["cnots"],

@@ -2,11 +2,14 @@
 
 TS_SIM_MAX_DIM   dense-dimension cap for kron and matrix builders
                  (default 2**14); guards against accidental huge allocations.
+                 A value that is not a positive integer raises ParseError.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import ParseError
 
 DEFAULT_MAX_DIM = 2**14
 
@@ -19,6 +22,8 @@ def max_dim() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_DIM
-    return value if value > 0 else DEFAULT_MAX_DIM
+        value = 0
+    if value < 1:
+        raise ParseError(f"TS_SIM_MAX_DIM must be a positive integer, got {raw!r}")
+    return value
 

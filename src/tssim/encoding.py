@@ -20,13 +20,13 @@ import numpy as np
 
 from .errors import ContractError, DegenerateProjectionError, DomainError
 from .linalg import (
+    Spectrum,
     as_matrix,
     check_dim,
     hermitian_eig,
     is_unitary,
     kron,
     max_abs,
-    sqrtm_psd,
 )
 from .pauli import PauliSum, sum_matrix, word_matrix
 
@@ -38,11 +38,14 @@ class BlockEncoding:
 
     ancilla_dim * system_dim equals the full dimension; post-selecting the
     ancilla on zero recovers the block. An encoding given its matrix keeps
-    it and is certified by whoever consumes it. One computed from certified
-    factors (`from_factors`) keeps the block, optionally the system_dim
-    leading columns and rows of the matrix, and `build`, which multiplies
-    the factors out on the first read of `matrix` and is then dropped for
-    the cached result.
+    it. One computed from certified factors (`from_factors`) keeps the
+    block, optionally the system_dim leading columns and rows of the
+    matrix, and `build`, which multiplies the factors out on the first read
+    of `matrix` and is then dropped for the cached result.
+
+    `residual` is the certificate: this module's builders check the encoding
+    unitary (whole or factor by factor), then record max-abs(scale * block -
+    target). A caller's encoding has residual None; its consumer checks it.
     """
 
     def __init__(self, matrix, system_dim: int, ancilla_dim: int, scale: float, *,
@@ -58,6 +61,7 @@ class BlockEncoding:
         self._block = matrix[:system_dim, :system_dim] if block is None else block
         self._columns = columns
         self._rows = rows
+        self.residual: float | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -91,39 +95,40 @@ def _require_unitary(u, tol=BLOCK_TOL) -> None:
         raise DomainError("constructed encoding is not unitary")
 
 
-def _block_checked(enc: BlockEncoding, target, tol=BLOCK_TOL) -> tuple[BlockEncoding, EncodedTarget]:
-    resid = max_abs(enc.scale * enc.top_block() - target)
-    if not resid <= tol:
-        raise DomainError(f"block equality failed (residual {resid:.3e})")
-    return enc, EncodedTarget(target=target, tolerance=tol)
+def _block_checked(enc: BlockEncoding, target, tol=BLOCK_TOL) -> BlockEncoding:
+    enc.residual = max_abs(enc.scale * enc.top_block() - target)
+    if not enc.residual <= tol:
+        raise DomainError(f"block equality failed (residual {enc.residual:.3e})")
+    return enc
 
 
-def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> tuple[BlockEncoding, EncodedTarget]:
+def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> BlockEncoding:
     _require_unitary(matrix, tol)
     enc = BlockEncoding(matrix=matrix, system_dim=system_dim, ancilla_dim=ancilla_dim, scale=scale)
     return _block_checked(enc, target, tol)
 
 
-def dilation_sqrt(h) -> BlockEncoding:
+def dilation_sqrt(h, spectrum: Spectrum | None = None) -> BlockEncoding:
     """Exact unitary dilation [[h, -s], [s, h]] with s = sqrt(I - h^2).
 
     Requires h Hermitian with spectral norm at most 1. Eigenphases come in
     conjugate pairs exp(+-i theta) with cos(theta) equal to the eigenvalues
-    of h, so the block carries scale 1.
+    of h, so the block carries scale 1. s = V diag(sqrt(1 - w^2)) V^H is
+    formed on the spectrum (w, V) of h that the norm check reads; pass it as
+    `spectrum` when it is already solved. 1 - w^2 in [-1e-10, 0) counts as
+    zero, anything more negative raises DomainError.
     """
     h = as_matrix(h)
-    spec = hermitian_eig(h)
-    if np.max(np.abs(spec.values)) > 1.0 + 1e-10:
-        raise DomainError(f"spectral norm {np.max(np.abs(spec.values)):.6f} exceeds 1")
-    n = h.shape[0]
-    s = sqrtm_psd(np.eye(n) - h @ h)
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    u[:n, :n] = h
-    u[:n, n:] = -s
-    u[n:, :n] = s
-    u[n:, n:] = h
-    enc, _ = _checked(u, n, 2, 1.0, h)
-    return enc
+    spec = hermitian_eig(h) if spectrum is None else spectrum
+    w = spec.values
+    if np.max(np.abs(w)) > 1.0 + 1e-10:
+        raise DomainError(f"spectral norm {np.max(np.abs(w)):.6f} exceeds 1")
+    gap = 1.0 - w * w
+    if np.min(gap) < -1e-10:
+        raise DomainError(f"I - h^2 is not PSD (eigenvalue {np.min(gap):.3e})")
+    root = (spec.vectors * np.sqrt(np.clip(gap, 0.0, None))) @ spec.vectors.conj().T
+    s = (root + root.conj().T) / 2.0
+    return _checked(np.block([[h, -s], [s, h]]), h.shape[0], 2, 1.0, h)
 
 
 def prepare_oracle(coeffs) -> np.ndarray:
@@ -192,8 +197,7 @@ def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     """
     n = target.shape[0]
     if len(unitaries) == 1:
-        enc, _ = _checked(unitaries[0], n, 1, scale, target)
-        return enc
+        return _checked(unitaries[0], n, 1, scale, target)
     b = prepare_oracle(weights)
     a = b.shape[0]
     check_dim(a * n)
@@ -206,8 +210,7 @@ def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     rows = _left_weighted(b[:lead].T * b[0, :lead], stack).transpose(1, 0, 2).reshape(n, a * n)
     enc = BlockEncoding(None, n, a, scale, block=columns[:n], columns=columns, rows=rows,
                         build=lambda: _sandwich_matrix(b, stack, n))
-    enc, _ = _block_checked(enc, target)
-    return enc
+    return _block_checked(enc, target)
 
 
 def uh_from_sum(s: PauliSum) -> BlockEncoding:
@@ -340,9 +343,9 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     0 <= tau <= 1.
 
     The block is computed from the factors, each certified: uh is unitary
-    (an encoding given as a matrix is checked here, one built from factors
-    was checked by its builder), the coefficient gate is unitary, the
-    routing map is a bijection and the branch phases have unit modulus.
+    (checked here unless it carries its builder's residual), the
+    coefficient gate is unitary, the routing map is a bijection and the
+    branch phases have unit modulus.
     The (4 * ancilla * system)-dimensional circuit matrix is multiplied out
     only when `.matrix` is read.
     """
@@ -354,7 +357,7 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     n = uh.system_dim
     a = uh.ancilla_dim
     check_dim(4 * a * n)
-    if not uh.from_factors:
+    if uh.residual is None:
         _require_unitary(uh.matrix)
     b = b_gate(tau)
     _require_unitary(b)
@@ -369,7 +372,7 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     block = _series_block(uh.leading_columns(), uh.leading_rows(), b, route)
     enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=block,
                         build=lambda: _series_matrix(uh.matrix, a, n, b))
-    return _block_checked(enc, target)
+    return _block_checked(enc, target), EncodedTarget(target=target, tolerance=BLOCK_TOL)
 
 
 def apply_postselect(enc: BlockEncoding, psi) -> tuple[np.ndarray, float]:

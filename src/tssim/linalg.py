@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import ContractError, DomainError, NumericError, SizeError
+from .errors import ContractError, NumericError, SizeError
 
 HERMITIAN_TOL = 1e-12
 GRAM_ROWS = 256  # rows of u^H u per step in is_unitary; BLAS stays efficient at this width
@@ -99,18 +99,3 @@ def hermitian_eig(h) -> Spectrum:
     except np.linalg.LinAlgError as e:
         raise NumericError(f"eigensolver failed: {e}") from None
     return Spectrum(values=values, vectors=vectors)
-
-
-def sqrtm_psd(a) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more negative
-    raises DomainError.
-    """
-    spec = hermitian_eig(a)
-    w = spec.values
-    if np.min(w) < -1e-10:
-        raise DomainError(f"matrix is not PSD (eigenvalue {np.min(w):.3e})")
-    w = np.clip(w, 0.0, None)
-    root = (spec.vectors * np.sqrt(w)) @ spec.vectors.conj().T
-    return (root + root.conj().T) / 2.0

@@ -23,7 +23,7 @@ import numpy as np
 from .decompose import assemble_uh, build_decomposition
 from .encoding import BlockEncoding, dilation_sqrt, taylor_encoding, uh_from_sum
 from .errors import ContractError, NumericError
-from .linalg import as_matrix, hermitian_eig, is_unitary
+from .linalg import Spectrum, as_matrix, hermitian_eig, is_unitary
 from .pauli import PauliSum, normalize_for_encoding, sum_matrix
 
 EIGVEC_TOL = 1e-8
@@ -70,18 +70,25 @@ def _unit_vector(v) -> np.ndarray:
     return v / nrm
 
 
-def _eigenvalue_of(u, v) -> complex:
-    """Unit-modulus eigenvalue of u on v; rejects non-eigenvectors."""
-    u = as_matrix(u)
-    if not is_unitary(u, UNITARY_TOL):
-        raise ContractError("phase estimation needs a unitary matrix")
+def _eigenvalue_on(a: np.ndarray, v, what: str) -> complex:
+    """Rayleigh quotient mu of a on v, if |a v - mu v| <= EIGVEC_TOL max(1, |mu|)."""
     v = _unit_vector(v)
-    if v.shape[0] != u.shape[0]:
-        raise ContractError("vector length does not match matrix dimension")
-    w = u @ v
+    if v.shape[0] != a.shape[0]:
+        raise ContractError(f"vector length does not match the {what} dimension")
+    w = a @ v
     mu = complex(np.vdot(v, w))
-    if float(np.linalg.norm(w - mu * v)) > EIGVEC_TOL:
-        raise ContractError("vector is not an eigenvector of the unitary")
+    if float(np.linalg.norm(w - mu * v)) > EIGVEC_TOL * max(1.0, abs(mu)):
+        raise ContractError(f"vector is not an eigenvector of the {what}")
+    return mu
+
+
+def _eigenvalue_of(u, v) -> complex:
+    """Unit-modulus eigenvalue of u on v, for a matrix or a BlockEncoding u;
+    only an encoding that carries its builder's residual skips the unitarity check."""
+    a = u.matrix if isinstance(u, BlockEncoding) else as_matrix(u)
+    if getattr(u, "residual", None) is None and not is_unitary(a, UNITARY_TOL):
+        raise ContractError("phase estimation needs a unitary matrix")
+    mu = _eigenvalue_on(a, v, "unitary")
     return mu / abs(mu)
 
 
@@ -160,9 +167,10 @@ def _estimate(bits, phase, prob, method, tie=False) -> PhaseEstimate:
 def pea_phase(u, v, m: int) -> PhaseEstimate:
     """m-bit register phase estimation of u's eigenvalue on eigenvector v.
 
-    Deterministic: returns the most probable register outcome, computed in
-    closed form; success_prob is that outcome's probability (1 for exactly
-    representable phases, never below 4/pi^2).
+    u is a unitary matrix or a BlockEncoding. Deterministic: returns the
+    most probable register outcome, computed in closed form; success_prob
+    is that outcome's probability (1 for exactly representable phases,
+    never below 4/pi^2).
     """
     m = _check_bit_count(m)
     phi = _phase_of(_eigenvalue_of(u, v))
@@ -173,12 +181,13 @@ def pea_phase(u, v, m: int) -> PhaseEstimate:
 def ipea_msb(u, v, m: int, shots=None, seed: int = 0) -> PhaseEstimate:
     """Iterative MSB-first phase estimation, m independent rounds.
 
-    Round k applies u 2^(k-1) times, so the probability difference
-    P(0) - P(1) equals sin(2pi r) with r the phase left after k-1 binary
-    digits; the sign decides bit k. Exact-probability mode is the default;
-    pass shots for Bernoulli sampling with a seeded generator (boundary
-    rounds still use the deterministic tie rule). Floating-point doubling
-    keeps about 52 - m reliable trailing bits, which the cap on m respects.
+    u is a unitary matrix or a BlockEncoding. Round k applies u 2^(k-1)
+    times, so the probability difference P(0) - P(1) equals sin(2pi r)
+    with r the phase left after k-1 binary digits; the sign decides bit k.
+    Exact-probability mode is the default; pass shots for Bernoulli
+    sampling with a seeded generator (boundary rounds still use the
+    deterministic tie rule). Floating-point doubling keeps about 52 - m
+    reliable trailing bits, which the cap on m respects.
     """
     m = _check_bit_count(m)
     if shots is not None and (int(shots) != shots or shots < 1):
@@ -240,14 +249,7 @@ def taylor_phase(enc: BlockEncoding, v, m: int, estimator: str = "pea") -> Phase
     encoding scale, squared).
     """
     m = _check_bit_count(m)
-    v = _unit_vector(v)
-    block = enc.top_block() * enc.scale
-    if v.shape[0] != block.shape[0]:
-        raise ContractError("vector length does not match the system dimension")
-    w = block @ v
-    mu = complex(np.vdot(v, w))
-    if float(np.linalg.norm(w - mu * v)) > EIGVEC_TOL * max(1.0, abs(mu)):
-        raise ContractError("vector is not an eigenvector of the series block")
+    mu = _eigenvalue_on(enc.top_block() * enc.scale, v, "series block")
     if abs(mu) < 1e-14:
         raise NumericError("series block annihilates the vector")
     phi = _phase_of(mu / abs(mu))
@@ -297,13 +299,13 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
         est = taylor_phase(enc, v, m, estimator)
         lam = eigenvalue_from_phase(est, t, correct=correct)
     elif method in ("exact", METHOD_EXACT, "dc"):
-        h = h_n
-        if method == "dc":
+        h, spec = h_n, Spectrum(t * spectrum.values, spectrum.vectors)
+        if method == "dc":  # a matrix other than h_n: the dilation solves its spectrum
             rebuilt = assemble_uh(build_decomposition(h_n))
             h = rebuilt.top_block() * rebuilt.scale
-            h = (h + h.conj().T) / 2.0
-        enc = dilation_sqrt(t * h)
-        est = _run_unitary_estimator(enc.matrix, dilated_eigenvector(v), m, estimator)
+            h, spec = (h + h.conj().T) / 2.0, None
+        enc = dilation_sqrt(t * h, spec)
+        est = _run_unitary_estimator(enc, dilated_eigenvector(v), m, estimator)
         est = dataclasses.replace(est, method=METHOD_EXACT)
         lam = eigenvalue_from_phase(est, t)
     else:

@@ -10,7 +10,8 @@ import pytest
 from tssim import cli, encoding
 from tssim.cli import RunConfig, main, run
 from tssim.decompose import dense_to_json
-from tssim.pauli import PauliSum
+from tssim.linalg import max_abs
+from tssim.pauli import PauliSum, parse_pauli_file, sum_matrix
 
 H2_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
 
@@ -41,6 +42,24 @@ def test_encode_with_series_block():
     code, doc = run(RunConfig(command="encode", input_path=H2_PATH, t=0.2, emit_matrix=True))
     dim = doc["series"]["system_dim"] * doc["series"]["ancilla_dim"]
     assert len(doc["series"]["matrix"]) == dim * dim
+
+
+def test_encode_reports_the_certified_block_residuals(tmp_path, monkeypatch):
+    single = tmp_path / "single.pauli"
+    single.write_text("-0.75 XY\n")
+    for path in (H2_PATH, str(single)):
+        s = parse_pauli_file(open(path).read())
+        uh = encoding.uh_from_sum(s)
+        enc, target = encoding.taylor_encoding(uh, 0.2)
+        builds = []
+        for module in (cli, encoding):
+            monkeypatch.setattr(module, "sum_matrix", lambda s: builds.append(1) or sum_matrix(s))
+        code, doc = run(RunConfig(command="encode", input_path=path, t=0.2))
+        monkeypatch.undo()
+        assert code == 0
+        assert builds == [1]  # the residual is read from the encoding, not recomputed
+        assert doc["block_residual"] == max_abs(uh.top_block() * uh.scale - sum_matrix(s))
+        assert doc["series"]["block_residual"] == max_abs(enc.top_block() * enc.scale - target.target)
 
 
 def test_encode_overlong_time_exits_3():
@@ -259,6 +278,25 @@ def test_verify_ignores_the_reported_residual(tmp_path):
     assert vdoc["error"]["type"] == "ContractError"
 
 
+@pytest.mark.parametrize("residual", [float("nan"), float("inf"), "1e-3", True, 10**400],
+                         ids=["nan", "infinity", "string", "bool", "int-beyond-float"])
+def test_verify_rejects_a_reported_residual_that_is_not_a_finite_number(tmp_path, residual):
+    doc = _decompose_doc(tmp_path)
+    doc["residual"] = residual
+    code, vdoc = _verify(tmp_path, doc)
+    assert code == 2
+    assert vdoc["error"]["type"] == "ParseError"
+
+
+def test_verify_reports_a_missing_residual_as_null(tmp_path, capsys):
+    doc = _decompose_doc(tmp_path)
+    del doc["residual"]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["reported_residual"] is None
+
+
 def test_verify_rejects_non_unitary_blocks_that_reconstruct(tmp_path):
     # doubling one branch's blocks and halving its weight keeps the sum exact
     doc = _decompose_doc(tmp_path)
@@ -411,3 +449,12 @@ def test_verify_rejects_overflowing_row_sum_without_warnings(tmp_path):
         code, vdoc = _verify(tmp_path, doc)
     assert code == 3
     assert vdoc["error"]["message"] == "largest absolute row sum inf is not finite"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_malformed_dimension_cap_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("TS_SIM_MAX_DIM", value)
+    assert main(["encode", "--input", H2_PATH]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ParseError"
+    assert "TS_SIM_MAX_DIM" in err["message"] and repr(value) in err["message"]

@@ -19,7 +19,7 @@ from tssim.encoding import (
     uh_from_sum,
 )
 from tssim.errors import ContractError, DegenerateProjectionError, DomainError, SizeError
-from tssim.linalg import is_unitary, max_abs
+from tssim.linalg import Spectrum, is_unitary, max_abs
 from tssim.pauli import PauliSum, h2_hamiltonian, normalize_for_encoding, sum_matrix
 
 
@@ -98,6 +98,14 @@ def test_prepare_select_rejects_a_non_unitary_factor():
         prepare_select([0.5, 0.5], [x, bent], 1.0, target)
 
 
+def test_builders_record_their_block_residual():
+    s = PauliSum([(0.5, "ZX"), (-0.3, "XI"), (0.2, "YY")])
+    for uh in (uh_from_sum(s), uh_from_sum(PauliSum([(-0.75, "XY")]))):
+        assert uh.residual is not None and uh.residual <= encoding.BLOCK_TOL
+    given = BlockEncoding(matrix=np.eye(2), system_dim=1, ancilla_dim=2, scale=1.0)
+    assert given.residual is None
+
+
 def test_uh_single_term_needs_no_ancilla():
     s = PauliSum([(-0.75, "XY")])
     uh = uh_from_sum(s)
@@ -123,6 +131,37 @@ def test_dilation_unit_eigenvalues_and_block():
 def test_dilation_rejects_expanding_input():
     with pytest.raises(DomainError):
         dilation_sqrt(np.diag([1.5, 0.2]))
+
+
+def sqrt_of_i_minus_h_squared(h):
+    """sqrt(I - h^2) from the eigendecomposition of I - h^2 itself."""
+    a = np.eye(h.shape[0]) - h @ h
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (root + root.conj().T) / 2.0
+
+
+def test_dilation_root_matches_square_root_of_i_minus_h_squared():
+    rng = np.random.default_rng(43)
+    for qubits in range(1, 6):
+        n = 2**qubits
+        for _ in range(3):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = (g + g.conj().T) / 2.0
+            h /= np.linalg.norm(h, 2) * rng.uniform(1.05, 3.0)
+            want = sqrt_of_i_minus_h_squared(h)
+            w, v = np.linalg.eigh(h)
+            for enc in (dilation_sqrt(h), dilation_sqrt(h, spectrum=Spectrum(w, v))):
+                assert max_abs(enc.matrix[n:, :n] - want) < 1e-12
+                assert max_abs(enc.matrix[:n, n:] + want) < 1e-12
+                assert enc.residual == 0.0
+
+
+def test_dilation_clamps_only_a_tiny_negative_gap():
+    enc = dilation_sqrt(np.diag([1.0 + 4e-11, 0.2]))  # 1 - w^2 = -8e-11 counts as zero
+    assert enc.matrix[2, 0] == 0.0
+    with pytest.raises(DomainError, match="not PSD"):  # within the norm check, but 1 - w^2 = -1.4e-10
+        dilation_sqrt(np.diag([1.0 + 7e-11, 0.2]))
 
 
 def test_b_gate_rows_and_norm():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tssim.errors import ContractError, DomainError, SizeError
+from tssim.errors import ContractError, SizeError
 from tssim.linalg import (
     GRAM_ROWS,
     as_matrix,
@@ -14,7 +14,6 @@ from tssim.linalg import (
     is_unitary,
     kron,
     max_abs,
-    sqrtm_psd,
 )
 
 
@@ -75,20 +74,6 @@ def test_hermitian_eig_real_diagonal_is_exact():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ContractError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sqrtm_psd_squares_back():
-    h = random_hermitian(6, seed=8)
-    p = h @ h.conj().T  # PSD by construction
-    s = sqrtm_psd(p)
-    assert max_abs(s @ s - p) < 1e-10
-    assert max_abs(s - s.conj().T) < 1e-12
-
-
-def test_sqrtm_psd_rejects_negative_spectrum():
-    with pytest.raises(DomainError):
-        sqrtm_psd(np.diag([1.0, -0.5]))
-
 
 
 def test_is_unitary_across_row_steps():

@@ -1,12 +1,14 @@
 """Phase estimators, eigenvalue recovery, and the probability-difference law."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tssim.encoding import dilation_sqrt, taylor_encoding, uh_from_sum
+from tssim import linalg
+from tssim.encoding import BlockEncoding, dilation_sqrt, taylor_encoding, uh_from_sum
 from tssim.errors import ContractError
 from tssim.linalg import hermitian_eig
 from tssim.pauli import PauliSum, h2_hamiltonian, normalize_for_encoding, sum_matrix
@@ -61,6 +63,61 @@ def test_pea_rejects_non_eigenvector():
 def test_pea_rejects_non_unitary():
     with pytest.raises(ContractError):
         pea_phase(np.diag([2.0, 1.0]), E1, 4)
+
+
+def test_estimators_read_a_certified_encoding_as_its_matrix():
+    rng = np.random.default_rng(19)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = (g + g.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2) * 1.2
+    enc = dilation_sqrt(h)
+    assert enc.residual is not None
+    for k in range(8):
+        v = dilated_eigenvector(hermitian_eig(h).vectors[:, k])
+        for estimate in (pea_phase, ipea_msb):
+            assert estimate(enc, v, 14) == estimate(enc.matrix, v, 14)
+
+
+def test_estimators_check_an_encoding_without_residual():
+    bent = BlockEncoding(matrix=np.diag([2.0, 1.0]), system_dim=1, ancilla_dim=2, scale=1.0)
+    for estimate in (pea_phase, ipea_msb):
+        with pytest.raises(ContractError, match="unitary"):
+            estimate(bent, E1, 4)
+    given = BlockEncoding(matrix=phase_unitary(0.25), system_dim=1, ancilla_dim=2, scale=1.0)
+    assert pea_phase(given, E1, 4) == pea_phase(phase_unitary(0.25), E1, 4)
+
+
+def counted(monkeypatch, module, name):
+    """Count calls of module.name, patched wherever a tssim module holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counter(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is module or (mod.__name__.startswith("tssim") and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counter)
+    return calls
+
+
+# dc solves h_n, the stacked leaf split and its own dilation's matrix, and
+# certifies the prepare gate, its 4 branches and its dilation
+@pytest.mark.parametrize("method, eighs, unitary_checks", [("exact", 1, 1), ("dc", 3, 6)])
+def test_dilation_routes_solve_and_certify_once(monkeypatch, method, eighs, unitary_checks):
+    eigh = counted(monkeypatch, np.linalg, "eigh")
+    checks = counted(monkeypatch, linalg, "is_unitary")
+    energy, _ = estimate_ground_energy(h2_hamiltonian(), m=16, method=method)
+    assert energy == pytest.approx(-1.8510456784448643, abs=1e-3)
+    assert len(eigh) == eighs
+    assert len(checks) == unitary_checks
+
+
+def test_single_term_series_certifies_its_sum_encoding_once(monkeypatch):
+    checks = counted(monkeypatch, linalg, "is_unitary")
+    taylor_encoding(uh_from_sum(PauliSum([(-0.75, "XY")])), 0.5)
+    assert len(checks) == 2  # the word itself and the coefficient gate
 
 
 def test_pea_large_register_uses_analytic_peak():

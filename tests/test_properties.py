@@ -104,7 +104,12 @@ DENSE_COMMANDS = [
 ]
 
 
+def _reject_constant(name):
+    raise AssertionError(f"the CLI emitted {name}, which is not JSON")
+
+
 def run_main(content: bytes, command: list) -> tuple[int, dict]:
+    """Run the CLI on a file holding content; its output must be strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
         with open(path, "wb") as fh:
@@ -112,7 +117,7 @@ def run_main(content: bytes, command: list) -> tuple[int, dict]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main([command[0], "--input", path, *command[1:]])
-    return code, json.loads(out.getvalue())
+    return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 @PROPERTY_SETTINGS
