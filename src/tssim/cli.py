@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -19,11 +20,11 @@ import numpy as np
 from . import __version__
 from .decompose import (
     PRUNE_TOL_DEFAULT,
-    assemble_uh,
     build_decomposition,
     check_terms,
     decomposition_from_json,
     decomposition_to_json,
+    encoding_shape,
     load_dense_json,
     reconstruction_residual,
 )
@@ -71,8 +72,10 @@ class RunConfig:
             self.t = _DEFAULT_T.get(self.command, 1.0)
 
     def validate(self) -> None:
-        if self.t < 0:
-            raise ContractError("t must be non-negative")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ContractError(f"t must be a finite non-negative number, not {self.t}")
+        if self.command == "encode" and self.emit_matrix and self.t == 0:
+            raise ContractError("--emit-matrix embeds the series matrix, so it needs --t > 0")
         if int(self.bits) != self.bits or not 1 <= self.bits <= MAX_BITS:
             raise ContractError(f"bits must be an integer in [1, {MAX_BITS}]")
         if int(self.trials) != self.trials or self.trials < 1:
@@ -137,7 +140,7 @@ def _cmd_encode(cfg: RunConfig) -> dict:
         "block_residual": float(uh.residual),
     }
     if cfg.t > 0:
-        enc, _ = taylor_encoding(uh, cfg.t)
+        enc = taylor_encoding(uh, cfg.t)
         doc["series"] = {
             "t": float(cfg.t),
             "system_dim": int(enc.system_dim),
@@ -159,12 +162,8 @@ def _cmd_decompose(cfg: RunConfig) -> dict:
     doc["schema"] = SCHEMA
     doc["command"] = "decompose"
     doc["residual"] = float(reconstruction_residual(d, m))
-    enc = assemble_uh(d)
-    doc["encoding"] = {
-        "system_dim": int(enc.system_dim),
-        "ancilla_dim": int(enc.ancilla_dim),
-        "scale": float(enc.scale),
-    }
+    system_dim, ancilla_dim, scale = encoding_shape(d)
+    doc["encoding"] = {"system_dim": system_dim, "ancilla_dim": ancilla_dim, "scale": scale}
     return doc
 
 
@@ -246,7 +245,6 @@ def _cmd_h2(cfg: RunConfig) -> dict:
     h = sum_matrix(s)
     e0 = float(hermitian_eig(h).values[0])
     d = build_decomposition(h)
-    enc = assemble_uh(d)
     dc_gates = _gate_doc(count_dc(d))
     bits = int(cfg.bits)
     routes = {}
@@ -276,7 +274,7 @@ def _cmd_h2(cfg: RunConfig) -> dict:
             "branches": len(d.terms),
             "scale": float(d.scale),
             "residual": float(reconstruction_residual(d, h)),
-            "ancilla_dim": int(enc.ancilla_dim),
+            "ancilla_dim": encoding_shape(d)[1],
             "gates": dc_gates["singles"],
             "cnots": dc_gates["cnots"],
             "cnots_with_estimation_control": _gate_doc(count_dc(d, pea_control=True))["cnots"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BlockEncoding, prepare_select
+from .encoding import BLOCK_TOL, BlockEncoding, prepare_select
 from .errors import ContractError, DomainError, ParseError
 from .linalg import as_matrix, inf_norm, max_abs
 
@@ -194,8 +194,8 @@ def build_decomposition(m, prune_tol: float = PRUNE_TOL_DEFAULT) -> Decompositio
     scaled, checked and split as one (groups, rows, 2, 2) array.
     """
     m, n = _check_pow2_dim(m)
-    if prune_tol < 0:
-        raise ContractError("prune tolerance must be non-negative")
+    if not prune_tol >= 0:  # NaN too
+        raise ContractError(f"prune tolerance {prune_tol} is not a non-negative number")
     scale = max(inf_norm(m), 1.0)
     rows = 2 ** (n - 1)
     r = np.arange(rows)
@@ -243,6 +243,19 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return d.scale * out
 
 
+def encoding_shape(d: Decomposition) -> tuple[int, int, float]:
+    """(system_dim, ancilla_dim, scale) of assemble_uh(d), without building it.
+
+    Certifies that d has a branch and that every branch block is unitary
+    within BLOCK_TOL, 2x2 block by block. The ancilla is the branch count
+    padded to a power of two, as the prepare oracle pads it.
+    """
+    if not d.terms:
+        raise ContractError("decomposition has no branches")
+    check_terms(d, d.dim, BLOCK_TOL)
+    return d.dim, 1 << (len(d.terms) - 1).bit_length(), d.scale * float(sum(t.beta for t in d.terms))
+
+
 def assemble_uh(d: Decomposition) -> BlockEncoding:
     """Prepare/select encoding whose block is the reconstruction over its scale.
 
@@ -250,11 +263,9 @@ def assemble_uh(d: Decomposition) -> BlockEncoding:
     block-diagonal of branch matrices padded with identities. The encoding
     scale is d.scale times the branch weight sum.
     """
-    if not d.terms:
-        raise ContractError("decomposition has no branches")
-    betas = [t.beta for t in d.terms]
+    scale = encoding_shape(d)[2]
     unitaries = [term_matrix(t, d.n) for t in d.terms]
-    return prepare_select(betas, unitaries, d.scale * float(sum(betas)), reconstruct(d))
+    return prepare_select([t.beta for t in d.terms], unitaries, scale, reconstruct(d))
 
 
 def check_terms(d: Decomposition, dim: int, tol: float) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +37,10 @@ class BlockEncoding:
 
     ancilla_dim * system_dim equals the full dimension; post-selecting the
     ancilla on zero recovers the block. An encoding given its matrix keeps
-    it. One computed from certified factors (`from_factors`) keeps the
-    block, optionally the system_dim leading columns and rows of the
-    matrix, and `build`, which multiplies the factors out on the first read
-    of `matrix` and is then dropped for the cached result.
+    it. One computed from certified factors keeps the block, optionally
+    the system_dim leading columns and rows of the matrix, and `build`,
+    which multiplies the factors out on the first read of `matrix` and is
+    then dropped for the cached result.
 
     `residual` is the certificate: this module's builders check the encoding
     unitary (whole or factor by factor), then record max-abs(scale * block -
@@ -55,7 +54,6 @@ class BlockEncoding:
         self.system_dim = system_dim
         self.ancilla_dim = ancilla_dim
         self.scale = scale
-        self.from_factors = build is not None
         self._matrix = matrix
         self._build = build
         self._block = matrix[:system_dim, :system_dim] if block is None else block
@@ -80,14 +78,6 @@ class BlockEncoding:
     def leading_rows(self) -> np.ndarray:
         """The system_dim leading rows of `matrix`."""
         return self.matrix[: self.system_dim] if self._rows is None else self._rows
-
-
-@dataclass
-class EncodedTarget:
-    """The operator a BlockEncoding claims to hold, with its check tolerance."""
-
-    target: np.ndarray
-    tolerance: float
 
 
 def _require_unitary(u, tol=BLOCK_TOL) -> None:
@@ -213,15 +203,17 @@ def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     return _block_checked(enc, target)
 
 
-def uh_from_sum(s: PauliSum) -> BlockEncoding:
+def uh_from_sum(s: PauliSum, target=None) -> BlockEncoding:
     """Prepare/select encoding of a Pauli sum.
 
     The block equals sum_matrix(s) / scale with scale the coefficient
-    1-norm. Ancilla dimension is the word count rounded up to a power of
-    two; a single-term sum needs no ancilla at all.
+    1-norm, and is checked against `target`, which is sum_matrix(s) when
+    not given; pass it when already built. Ancilla dimension is the word
+    count rounded up to a power of two; a single-term sum needs no ancilla.
     """
     mags = [abs(c) for c, _ in s.terms]
-    return prepare_select(mags, _signed_words(s), s.coefficient_one_norm(), sum_matrix(s))
+    return prepare_select(mags, _signed_words(s), s.coefficient_one_norm(),
+                          sum_matrix(s) if target is None else target)
 
 
 def b_gate(t: float) -> np.ndarray:
@@ -332,7 +324,7 @@ def _series_block(columns: np.ndarray, rows: np.ndarray, b: np.ndarray, route: n
     return sum(b[0, q] * _BRANCH_PHASES[q] * slabs[q] for q in range(4))
 
 
-def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, EncodedTarget]:
+def taylor_encoding(uh: BlockEncoding, t: float) -> BlockEncoding:
     """Second-order truncated-series encoding built from a sum encoding.
 
     Sandwiches two controlled applications of `uh` (one conjugated by the
@@ -372,7 +364,7 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> tuple[BlockEncoding, Encoded
     block = _series_block(uh.leading_columns(), uh.leading_rows(), b, route)
     enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=block,
                         build=lambda: _series_matrix(uh.matrix, a, n, b))
-    return _block_checked(enc, target), EncodedTarget(target=target, tolerance=BLOCK_TOL)
+    return _block_checked(enc, target)
 
 
 def apply_postselect(enc: BlockEncoding, psi) -> tuple[np.ndarray, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import assemble_uh, build_decomposition
+from .decompose import build_decomposition, encoding_shape, reconstruct
 from .encoding import BlockEncoding, dilation_sqrt, taylor_encoding, uh_from_sum
 from .errors import ContractError, NumericError
 from .linalg import Spectrum, as_matrix, hermitian_eig, is_unitary
@@ -281,8 +281,8 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     precondition holds; the reported energy multiplies the recovered
     normalized eigenvalue back by that 1-norm. Routes: "exact" dilates the
     normalized matrix directly; "dc" dilates the matrix reconstructed from
-    its divide-and-conquer encoding; "taylor" reads the phase of the
-    second-order series block. The eigenvector comes from the in-package
+    its certified divide-and-conquer branches; "taylor" reads the phase of
+    the second-order series block. The eigenvector comes from the in-package
     eigensolver; state preparation is out of scope.
     """
     m = _check_bit_count(m)
@@ -294,15 +294,15 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     v = spectrum.vectors[:, 0]
 
     if method == "taylor":
-        uh = uh_from_sum(s_n)
-        enc, _ = taylor_encoding(uh, t)
+        enc = taylor_encoding(uh_from_sum(s_n, h_n), t)
         est = taylor_phase(enc, v, m, estimator)
         lam = eigenvalue_from_phase(est, t, correct=correct)
     elif method in ("exact", METHOD_EXACT, "dc"):
         h, spec = h_n, Spectrum(t * spectrum.values, spectrum.vectors)
         if method == "dc":  # a matrix other than h_n: the dilation solves its spectrum
-            rebuilt = assemble_uh(build_decomposition(h_n))
-            h = rebuilt.top_block() * rebuilt.scale
+            d = build_decomposition(h_n)
+            encoding_shape(d)  # a branch, each block unitary; the encoding itself is not built
+            h = reconstruct(d)
             h, spec = (h + h.conj().T) / 2.0, None
         enc = dilation_sqrt(t * h, spec)
         est = _run_unitary_estimator(enc, dilated_eigenvector(v), m, estimator)

@@ -59,7 +59,7 @@ def test_acc_1_series_block_matches_direct_target():
         dim = h.shape[0]
         uh = uh_from_sum(s)
         for t in (0.1, 0.5, 0.9):
-            enc, _ = taylor_encoding(uh, t)
+            enc = taylor_encoding(uh, t)
             block = enc.matrix[:dim, :dim] * enc.scale
             want = t * h + 1j * (np.eye(dim) - t * t * (h @ h) / 2.0)
             worst = max(worst, float(np.max(np.abs(block - want))))
@@ -179,7 +179,7 @@ def test_acc_8_modulus_correction_tightens_series_estimates():
         if abs(lam) < 0.5:
             continue
         t = min(0.95, float(rng.uniform(0.45, 0.85)) / abs(lam))
-        enc, _ = taylor_encoding(uh_from_sum(s_n), t)
+        enc = taylor_encoding(uh_from_sum(s_n), t)
         est = taylor_phase(enc, eig.vectors[:, idx], 16)
         err_corr = abs(eigenvalue_from_phase(est, t) - lam)
         err_raw = abs(eigenvalue_from_phase(est, t, correct=False) - lam)

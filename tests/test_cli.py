@@ -2,18 +2,21 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from tssim import cli, encoding
+from tssim import cli, encoding, phase
 from tssim.cli import RunConfig, main, run
-from tssim.decompose import dense_to_json
+from tssim.decompose import assemble_uh, build_decomposition, dense_to_json
 from tssim.linalg import max_abs
 from tssim.pauli import PauliSum, parse_pauli_file, sum_matrix
 
 H2_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_dense(tmp_path, m, name="m.json"):
@@ -50,7 +53,9 @@ def test_encode_reports_the_certified_block_residuals(tmp_path, monkeypatch):
     for path in (H2_PATH, str(single)):
         s = parse_pauli_file(open(path).read())
         uh = encoding.uh_from_sum(s)
-        enc, target = encoding.taylor_encoding(uh, 0.2)
+        enc = encoding.taylor_encoding(uh, 0.2)
+        h = uh.scale * uh.top_block()  # the series target t H + i (I - t^2 H^2 / 2)
+        target = 0.2 * h + 1j * (np.eye(uh.system_dim) - (0.2 * 0.2 / 2.0) * (h @ h))
         builds = []
         for module in (cli, encoding):
             monkeypatch.setattr(module, "sum_matrix", lambda s: builds.append(1) or sum_matrix(s))
@@ -59,7 +64,7 @@ def test_encode_reports_the_certified_block_residuals(tmp_path, monkeypatch):
         assert code == 0
         assert builds == [1]  # the residual is read from the encoding, not recomputed
         assert doc["block_residual"] == max_abs(uh.top_block() * uh.scale - sum_matrix(s))
-        assert doc["series"]["block_residual"] == max_abs(enc.top_block() * enc.scale - target.target)
+        assert doc["series"]["block_residual"] == max_abs(enc.top_block() * enc.scale - target)
 
 
 def test_encode_overlong_time_exits_3():
@@ -458,3 +463,98 @@ def test_malformed_dimension_cap_exits_2(monkeypatch, capsys, value):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ParseError"
     assert "TS_SIM_MAX_DIM" in err["message"] and repr(value) in err["message"]
+
+
+def test_encode_emit_matrix_needs_a_time(capsys):
+    # without --t there is no series matrix to embed; it used to exit 0 without one
+    assert main(["encode", "--input", H2_PATH, "--emit-matrix"]) == 3
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert "--emit-matrix" in message and "--t" in message
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--t", "nan"], ["estimate", "--t", "inf"],
+                                  ["encode", "--t", "nan"]])
+def test_non_finite_time_exits_3(capsys, argv):
+    assert main(argv + ["--input", H2_PATH]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith("t must be a finite")
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["gates", "--method", "dc"]])
+def test_nan_prune_tolerance_exits_3(capsys, argv):
+    # NaN compared false with every leaf, so it pruned nothing and exited 0
+    assert main(argv + ["--input", H2_PATH, "--prune-tol", "nan"]) == 3
+    assert "prune tolerance" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("matrix, prune_tol", [(np.zeros((4, 4)), 1e-14),
+                                               (np.arange(16.0).reshape(4, 4), 1e300)])
+def test_decompose_without_branches_exits_3(tmp_path, matrix, prune_tol):
+    path = write_dense(tmp_path, matrix)
+    code, doc = run(RunConfig(command="decompose", input_path=path, format="dense", prune_tol=prune_tol))
+    assert code == 3
+    assert doc["error"]["message"] == "decomposition has no branches"
+
+
+def _tridiagonal(rng, dim):
+    off = rng.normal(size=dim - 1)
+    return np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def test_decompose_encoding_fields_match_the_assembled_encoding(tmp_path):
+    rng = np.random.default_rng(44)
+    cases = [(H2_PATH, "pauli", sum_matrix(parse_pauli_file(open(H2_PATH).read()))),
+             (None, "dense", np.eye(2))]  # a single branch needs no ancilla
+    for dim in (8, 32):
+        cases.append((None, "dense", rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+    cases.append((None, "dense", _tridiagonal(rng, 64)))
+    for i, (path, fmt, m) in enumerate(cases):
+        path = path or write_dense(tmp_path, m, f"m{i}.json")
+        code, doc = run(RunConfig(command="decompose", input_path=path, format=fmt))
+        assert code == 0
+        enc = assemble_uh(build_decomposition(m))
+        assert doc["encoding"] == {"system_dim": enc.system_dim, "ancilla_dim": enc.ancilla_dim,
+                                   "scale": enc.scale}
+        assert (enc.ancilla_dim == 1) == (fmt == "dense" and m.shape == (2, 2))
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(command="decompose", input_path=H2_PATH),
+                                 RunConfig(command="estimate", input_path=H2_PATH, method="dc", bits=8)])
+def test_a_branch_bent_off_unitarity_exits_3(monkeypatch, cfg):
+    def bent(*args, **kwargs):
+        d = build_decomposition(*args, **kwargs)
+        d.terms[0].v_blocks[0] = 0.999 * d.terms[0].v_blocks[0]  # moduli stay below 1
+        return d
+
+    for module in (cli, phase):
+        monkeypatch.setattr(module, "build_decomposition", bent)
+    code, doc = run(cfg)
+    assert code == 3
+    assert "unitary" in doc["error"]["message"]
+
+
+def test_decompose_beyond_the_nominal_encoding_cap(tmp_path):
+    # 256 branches of dimension 256: an assembled encoding would be 65536 wide
+    m = np.random.default_rng(45).normal(size=(256, 256))
+    code, doc = run(RunConfig(command="decompose", input_path=write_dense(tmp_path, m), format="dense"))
+    assert code == 0
+    assert doc["residual"] <= 1e-9
+    assert doc["encoding"]["system_dim"] == 256
+    assert doc["encoding"]["ancilla_dim"] == 256
+
+
+def _module_run(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "tssim", *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_module_entry_point_exits_with_the_command_code(tmp_path):
+    done = _module_run("h2", "--bits", "4")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["command"] == "h2"
+    bad = tmp_path / "bad.pauli"
+    bad.write_text("0.5 XQ\n")
+    done = _module_run("encode", "--input", str(bad))
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"]["exit"] == 2
+    assert done.stderr == ""  # no traceback escapes

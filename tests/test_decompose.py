@@ -13,6 +13,7 @@ from tssim.decompose import (
     decomposition_from_json,
     decomposition_to_json,
     dense_to_json,
+    encoding_shape,
     leaf_slice,
     load_dense_json,
     reconstruct,
@@ -186,6 +187,20 @@ def test_assemble_respects_dimension_cap(monkeypatch):
 def test_assemble_rejects_empty():
     with pytest.raises(ContractError):
         assemble_uh(Decomposition(n=2, terms=[], scale=1.0))
+
+
+def test_encoding_shape_rejects_what_the_encoding_would():
+    with pytest.raises(ContractError, match="no branches"):
+        encoding_shape(Decomposition(n=2, terms=[], scale=1.0))
+    d = build_decomposition(sum_matrix(h2_hamiltonian()))
+    d.terms[1].v_blocks[3] = d.terms[1].v_blocks[3] @ np.diag([1.0, 1.0 - 1e-8])
+    with pytest.raises(ContractError, match="branch 1 .* not unitary"):
+        encoding_shape(d)
+
+
+def test_nan_prune_tolerance_is_rejected():
+    with pytest.raises(ContractError, match="prune tolerance nan"):
+        build_decomposition(np.eye(4), prune_tol=float("nan"))
 
 
 def test_dense_json_round_trip():

@@ -82,7 +82,6 @@ def test_stored_slabs_equal_the_multiplied_out_matrix():
     for uh in small_sum_encodings(29):
         n = uh.system_dim
         block, columns, rows = uh.top_block(), uh.leading_columns(), uh.leading_rows()
-        assert uh.from_factors == (uh.ancilla_dim > 1)
         assert max_abs(block - uh.matrix[:n, :n]) < 1e-12
         assert columns.shape == (n * uh.ancilla_dim, n)
         assert max_abs(columns - uh.matrix[:, :n]) < 1e-12
@@ -187,13 +186,20 @@ def test_pi_permutation_swaps_middle_halves():
     assert max_abs(p[-2:, -2:] - np.eye(2)) == 0.0
 
 
+def series_target(uh, t):
+    """t H + i (I - t^2 H^2 / 2) for H = scale * block of uh, the series formula."""
+    h = uh.scale * uh.top_block()
+    return t * h + 1j * (np.eye(uh.system_dim) - (t * t / 2.0) * (h @ h))
+
+
 def test_series_block_equals_target():
     s, _ = normalize_for_encoding(h2_hamiltonian())
     h = sum_matrix(s)
     t = 0.4
-    enc, target = taylor_encoding(uh_from_sum(s), t)
+    uh = uh_from_sum(s)
+    enc = taylor_encoding(uh, t)
     want = t * h + 1j * (np.eye(16) - t * t * (h @ h) / 2.0)
-    assert max_abs(target.target - want) < 1e-12
+    assert max_abs(series_target(uh, t) - want) < 1e-12
     assert is_unitary(enc.matrix, 1e-9)
     assert max_abs(enc.top_block() * enc.scale - want) < 1e-9
     assert enc.scale == pytest.approx(b_norm_sq(t))
@@ -208,10 +214,11 @@ def test_series_rejects_time_budget_overflow():
 def test_series_single_term_sum():
     s = PauliSum([(1.0, "Z")])
     t = 0.6
-    enc, target = taylor_encoding(uh_from_sum(s), t)
+    uh = uh_from_sum(s)
+    enc = taylor_encoding(uh, t)
     z = np.diag([1.0, -1.0])
     want = t * z + 1j * (np.eye(2) - t * t * np.eye(2) / 2.0)
-    assert max_abs(target.target - want) < 1e-12
+    assert max_abs(series_target(uh, t) - want) < 1e-12
     assert max_abs(enc.top_block() * enc.scale - want) < 1e-9
 
 
@@ -258,7 +265,7 @@ def small_series(seed, t=0.3):
 
 def test_series_block_equals_leading_block_of_matrix():
     for seed in range(12):
-        enc, _ = small_series(seed)
+        enc = small_series(seed)
         n = enc.system_dim
         assert enc.matrix.shape == (n * enc.ancilla_dim,) * 2
         assert max_abs(enc.top_block() - enc.matrix[:n, :n]) < 1e-12
@@ -266,7 +273,7 @@ def test_series_block_equals_leading_block_of_matrix():
 
 def test_series_matrix_built_on_request_is_unitary():
     for seed in range(12):
-        enc, _ = small_series(seed)
+        enc = small_series(seed)
         assert is_unitary(enc.matrix, 1e-9)
 
 
@@ -274,7 +281,7 @@ def test_series_matrix_built_once(monkeypatch):
     builds = []
     dense = encoding._series_matrix
     monkeypatch.setattr(encoding, "_series_matrix", lambda *a: builds.append(1) or dense(*a))
-    enc, _ = small_series(3)
+    enc = small_series(3)
     assert builds == []  # the block needs no circuit matrix
     first = enc.matrix
     assert enc.matrix is first

@@ -1,13 +1,15 @@
 """Phase estimators, eigenvalue recovery, and the probability-difference law."""
 
 import math
+import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tssim import linalg
+from tssim import encoding, linalg, pauli
+from tssim.cli import RunConfig, run
 from tssim.encoding import BlockEncoding, dilation_sqrt, taylor_encoding, uh_from_sum
 from tssim.errors import ContractError
 from tssim.linalg import hermitian_eig
@@ -103,8 +105,8 @@ def counted(monkeypatch, module, name):
 
 
 # dc solves h_n, the stacked leaf split and its own dilation's matrix, and
-# certifies the prepare gate, its 4 branches and its dilation
-@pytest.mark.parametrize("method, eighs, unitary_checks", [("exact", 1, 1), ("dc", 3, 6)])
+# certifies its dilation whole; its branches are certified 2x2 block by block
+@pytest.mark.parametrize("method, eighs, unitary_checks", [("exact", 1, 1), ("dc", 3, 1)])
 def test_dilation_routes_solve_and_certify_once(monkeypatch, method, eighs, unitary_checks):
     eigh = counted(monkeypatch, np.linalg, "eigh")
     checks = counted(monkeypatch, linalg, "is_unitary")
@@ -112,6 +114,27 @@ def test_dilation_routes_solve_and_certify_once(monkeypatch, method, eighs, unit
     assert energy == pytest.approx(-1.8510456784448643, abs=1e-3)
     assert len(eigh) == eighs
     assert len(checks) == unitary_checks
+
+
+H2_FILE = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
+
+
+# Each command builds only what it reads: h2 assembles one sum encoding (the
+# series route's) and builds H2's matrix once per route plus once for itself;
+# the series route hands its matrix to the sum encoding; decompose and the dc
+# route read the decomposition without assembling its encoding.
+@pytest.mark.parametrize("cfg, prepares, sums", [
+    (RunConfig(command="h2", bits=8), 1, 4),
+    (RunConfig(command="estimate", input_path=H2_FILE, method="taylor", t=0.2, bits=8), 1, 1),
+    (RunConfig(command="estimate", input_path=H2_FILE, method="dc", bits=8), 0, 1),
+    (RunConfig(command="decompose", input_path=H2_FILE), 0, 1),
+], ids=["h2", "taylor", "dc", "decompose"])
+def test_commands_build_only_what_they_read(monkeypatch, cfg, prepares, sums):
+    prepare = counted(monkeypatch, encoding, "prepare_select")
+    sum_builds = counted(monkeypatch, pauli, "sum_matrix")
+    code, _ = run(cfg)
+    assert code == 0
+    assert (len(prepare), len(sum_builds)) == (prepares, sums)
 
 
 def test_single_term_series_certifies_its_sum_encoding_once(monkeypatch):
@@ -247,7 +270,7 @@ def test_series_phase_folds_postselection_probability():
     v = eig.vectors[:, 0]
     t = 0.25
     m = 10
-    enc, _ = taylor_encoding(uh_from_sum(s), t)
+    enc = taylor_encoding(uh_from_sum(s), t)
     est = taylor_phase(enc, v, m)
     lam = eig.values[0]
     mu = t * lam + 1j * (1.0 - t * t * lam * lam / 2.0)
@@ -274,7 +297,7 @@ def test_correction_never_hurts_on_series_ensemble():
             continue
         t = min(0.95, float(rng.uniform(0.45, 0.85)) / abs(lam))
         assert t * abs(lam) <= 0.9 + 1e-12
-        enc, _ = taylor_encoding(uh_from_sum(s_n), t)
+        enc = taylor_encoding(uh_from_sum(s_n), t)
         est = taylor_phase(enc, eig.vectors[:, idx], 20)
         err_corr = abs(eigenvalue_from_phase(est, t) - lam)
         err_raw = abs(eigenvalue_from_phase(est, t, correct=False) - lam)
