@@ -13,7 +13,6 @@ from .decompose import (
 )
 from .encoding import (
     BlockEncoding,
-    apply_postselect,
     b_gate,
     dilation_sqrt,
     prepare_oracle,
@@ -23,7 +22,6 @@ from .encoding import (
 )
 from .errors import (
     ContractError,
-    DegenerateProjectionError,
     DomainError,
     NumericError,
     ParseError,
@@ -59,7 +57,6 @@ __all__ = [
     "ContractError",
     "Decomposition",
     "DecompositionTerm",
-    "DegenerateProjectionError",
     "DomainError",
     "GateCount",
     "LeafBlock",
@@ -70,7 +67,6 @@ __all__ = [
     "SizeError",
     "Spectrum",
     "TssimError",
-    "apply_postselect",
     "assemble_uh",
     "b_gate",
     "build_decomposition",

@@ -6,8 +6,14 @@ live here: the exact two-block dilation of a Hermitian contraction, the
 prepare/select sum-of-unitaries encoding of a Pauli sum, and the
 second-order truncated-series circuit that combines two applications of
 the sum encoding with a routing permutation. The dilation stores its
-matrix; the other two compute what they are read for from their certified
-factors and multiply the circuit out only on request.
+matrix; the other two store only their block, computed from their
+certified factors, and multiply the circuit out only on request.
+
+The sum encoding's block is A = sum_i B[0, i] B[i, 0] U_i. The series
+block is b00^2 A + i b01 b10 I - i b02 b20 A A, read from A and the
+coefficient gate b alone, once two certificates hold: b feeds no inert
+branch (b[0, 3] = b[3, 0] = 0), and the route isolates the leading block,
+so the branch that applies the sum encoding twice reads A A.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ContractError, DegenerateProjectionError, DomainError
+from .errors import ContractError, DomainError
 from .linalg import (
     Spectrum,
     as_matrix,
@@ -37,10 +43,9 @@ class BlockEncoding:
 
     ancilla_dim * system_dim equals the full dimension; post-selecting the
     ancilla on zero recovers the block. An encoding given its matrix keeps
-    it. One computed from certified factors keeps the block, optionally
-    the system_dim leading columns and rows of the matrix, and `build`,
-    which multiplies the factors out on the first read of `matrix` and is
-    then dropped for the cached result.
+    it. One computed from certified factors keeps only the block and
+    `build`, which multiplies the factors out on the first read of `matrix`
+    and is then dropped for the cached result.
 
     `residual` is the certificate: this module's builders check the encoding
     unitary (whole or factor by factor), then record max-abs(scale * block -
@@ -48,7 +53,7 @@ class BlockEncoding:
     """
 
     def __init__(self, matrix, system_dim: int, ancilla_dim: int, scale: float, *,
-                 block=None, columns=None, rows=None, build: Callable[[], np.ndarray] | None = None):
+                 block=None, build: Callable[[], np.ndarray] | None = None):
         if (matrix is None) == (build is None) or (block is None) != (build is None):
             raise ContractError("an encoding takes its matrix, or its block and a builder")
         self.system_dim = system_dim
@@ -57,8 +62,6 @@ class BlockEncoding:
         self._matrix = matrix
         self._build = build
         self._block = matrix[:system_dim, :system_dim] if block is None else block
-        self._columns = columns
-        self._rows = rows
         self.residual: float | None = None
 
     @property
@@ -70,14 +73,6 @@ class BlockEncoding:
 
     def top_block(self) -> np.ndarray:
         return self._block
-
-    def leading_columns(self) -> np.ndarray:
-        """The system_dim leading columns of `matrix`."""
-        return self.matrix[:, : self.system_dim] if self._columns is None else self._columns
-
-    def leading_rows(self) -> np.ndarray:
-        """The system_dim leading rows of `matrix`."""
-        return self.matrix[: self.system_dim] if self._rows is None else self._rows
 
 
 def _require_unitary(u, tol=BLOCK_TOL) -> None:
@@ -166,24 +161,16 @@ def _signed_words(s: PauliSum) -> list:
     return [(-1.0 if c < 0 else 1.0) * word_matrix(w) for c, w in s.terms]
 
 
-def _left_weighted(coef: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_i coef[k, i] stack[i] for every k, for real coef and a complex stack."""
-    flat = stack.reshape(stack.shape[0], -1).view(float)
-    return (coef @ flat).view(complex).reshape((coef.shape[0],) + stack.shape[1:])
-
-
 def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     """Sum-of-unitaries encoding (B (x) I) blkdiag(unitaries, I, ...) (B (x) I).
 
     B is the prepare oracle of the non-negative weights, so the block is
-    sum_i B[0, i] B[i, 0] U_i = sum_i w_i U_i / sum_i w_i; it is checked
-    against target / scale. B and every U_i are certified unitary on their
-    own. The block and the n leading columns and rows of the encoding
-    (block k of the columns is sum_i B[k, i] B[i, 0] U_i, and block j of the
-    rows sum_i B[0, i] U_i B[i, j]) then cost O(a L n^2); the identity
-    padding adds nothing, as B[i, 0] = B[0, i] = 0 beyond the L weights.
-    The (a n)-dimensional matrix is multiplied out only when `.matrix` is
-    read. A single unitary is its own encoding and needs no ancilla.
+    sum_i B[0, i] B[i, 0] U_i = sum_i w_i U_i / sum_i w_i, at O(L n^2); it
+    is checked against target / scale, and it is all the encoding stores.
+    B and every U_i are certified unitary on their own. The (a n)-dimensional
+    matrix is multiplied out from B and the caller's list of unitaries only
+    when `.matrix` is read. A single unitary is its own encoding and needs
+    no ancilla.
     """
     n = target.shape[0]
     if len(unitaries) == 1:
@@ -194,12 +181,9 @@ def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
     _require_unitary(b)
     for u in unitaries:
         _require_unitary(u)
-    stack = np.asarray(unitaries, dtype=complex)
-    lead = len(unitaries)
-    columns = _left_weighted(b[:, :lead] * b[:lead, 0], stack).reshape(a * n, n)
-    rows = _left_weighted(b[:lead].T * b[0, :lead], stack).transpose(1, 0, 2).reshape(n, a * n)
-    enc = BlockEncoding(None, n, a, scale, block=columns[:n], columns=columns, rows=rows,
-                        build=lambda: _sandwich_matrix(b, stack, n))
+    block = sum(b[0, i] * b[i, 0] * u for i, u in enumerate(unitaries))
+    enc = BlockEncoding(None, n, a, scale, block=block,
+                        build=lambda: _sandwich_matrix(b, unitaries, n))
     return _block_checked(enc, target)
 
 
@@ -306,22 +290,26 @@ def _series_matrix(uh_m: np.ndarray, a: int, n: int, b: np.ndarray) -> np.ndarra
     return bw @ phases @ v @ bw
 
 
-def _series_block(columns: np.ndarray, rows: np.ndarray, b: np.ndarray, route: np.ndarray) -> np.ndarray:
-    """Top n x n block of _series_matrix from the n leading columns of B (x) I.
+def _series_block(block: np.ndarray, b: np.ndarray, route: np.ndarray) -> np.ndarray:
+    """Top n x n block of _series_matrix from the top block A of U_H.
 
-    Branch q of those columns is b[q, 0] times the first n unit vectors;
-    they pass c2o (U_H on branches 00 and 10), c1pi (a gather on branches
-    10 and 11), c1uh (U_H on branches 10 and 11) and the branch phases, and
-    the leading rows of B (x) I sum them with weights b[0, q]. `route` is
-    the gather index of c1pi. Only the n leading columns and the n leading
-    rows of U_H are read, so the cost is O(a n^3) against O((4 a n)^3) for
-    the product.
+    The block is sum_{q<3} b[0, q] phase_q b[q, 0] M_q with M = (A, I, A A):
+    branch 0 applies U_H once, branch 1 not at all, and branch 2 applies it
+    twice with the routing permutation between. Two certificates make that
+    exact, each raising DomainError: the coefficient gate feeds no inert
+    branch (b[0, 3] = b[3, 0] = 0), and the route isolates the leading
+    block (it fixes the first n entries and sends the rest of the first
+    a n to the second half), so branch 2 reads A A and nothing else of U_H.
     """
-    d, n = columns.shape
-    head = np.eye(d, n, dtype=complex)
-    routed = np.concatenate([b[2, 0] * columns, b[3, 0] * head])[route]
-    slabs = [b[0, 0] * columns[:n], b[1, 0] * head[:n], rows @ routed[:d], rows @ routed[d:]]
-    return sum(b[0, q] * _BRANCH_PHASES[q] * slabs[q] for q in range(4))
+    n = block.shape[0]
+    d = route.size // 2
+    if not (b[0, 3] == 0.0 and b[3, 0] == 0.0):
+        raise DomainError("coefficient gate feeds the inert branch")
+    if not (np.array_equal(route[:n], np.arange(n)) and np.all(route[n:d] >= d)):
+        raise DomainError("routing map does not isolate the leading block")
+    # b[q, 0] weighs the input, as the coefficient gate acts first in the circuit
+    m = (b[0, 0] * block, b[1, 0] * np.eye(n, dtype=complex), block @ (b[2, 0] * block))
+    return sum(b[0, q] * _BRANCH_PHASES[q] * m[q] for q in range(3))
 
 
 def taylor_encoding(uh: BlockEncoding, t: float) -> BlockEncoding:
@@ -331,15 +319,17 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> BlockEncoding:
     routing permutation) between coefficient gates on two control qubits.
     With tau = t * uh.scale the block equals
     (t H + i (I - t^2 H^2 / 2)) / (tau + 1 + tau^2 / 2)
-    where H is the physical operator, scale * top block of uh. Requires
+    where H is the physical operator, scale * top block A of uh. Requires
     0 <= tau <= 1.
 
-    The block is computed from the factors, each certified: uh is unitary
-    (checked here unless it carries its builder's residual), the
-    coefficient gate is unitary, the routing map is a bijection and the
-    branch phases have unit modulus.
-    The (4 * ancilla * system)-dimensional circuit matrix is multiplied out
-    only when `.matrix` is read.
+    The block is b00^2 A + i b01 b10 I - i b02 b20 A A, read from A and the
+    coefficient gate b alone. Every factor is certified: uh is unitary
+    (checked here unless it carries its builder's residual), b is unitary,
+    the routing map is a bijection, the branch phases have unit modulus,
+    and `_series_block` certifies that b feeds no inert branch and that the
+    route isolates the leading block. The block is checked against the
+    dense target. The (4 * ancilla * system)-dimensional circuit matrix is
+    multiplied out only when `.matrix` is read.
     """
     if t < 0:
         raise ContractError("time step must be non-negative")
@@ -361,28 +351,7 @@ def taylor_encoding(uh: BlockEncoding, t: float) -> BlockEncoding:
 
     h_phys = uh.scale * uh.top_block()
     target = t * h_phys + 1j * (np.eye(n) - (t * t / 2.0) * (h_phys @ h_phys))
-    block = _series_block(uh.leading_columns(), uh.leading_rows(), b, route)
+    block = _series_block(uh.top_block(), b, route)
     enc = BlockEncoding(None, n, 4 * a, b_norm_sq(tau), block=block,
                         build=lambda: _series_matrix(uh.matrix, a, n, b))
     return _block_checked(enc, target)
-
-
-def apply_postselect(enc: BlockEncoding, psi) -> tuple[np.ndarray, float]:
-    """Apply the encoded block to a unit vector and renormalize.
-
-    Returns (normalized output, success probability). The probability is
-    the squared norm of block @ psi, i.e. the chance of finding every
-    ancilla in zero after one application.
-    """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != enc.system_dim:
-        raise ContractError(f"state has dim {psi.size}, system is {enc.system_dim}")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ContractError("state must be normalized")
-    out = enc.top_block() @ psi
-    prob = float(np.real(np.vdot(out, out)))
-    if prob < 1e-14:
-        raise DegenerateProjectionError("post-selection probability below 1e-14")
-    return out / math.sqrt(prob), prob
-

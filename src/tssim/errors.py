@@ -32,7 +32,3 @@ class SizeError(ContractError):
 class NumericError(TssimError):
     """An iteration failed to converge or a result lost the required
     accuracy."""
-
-
-class DegenerateProjectionError(NumericError):
-    """Post-selection succeeded with probability too small to renormalize."""

@@ -284,10 +284,17 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     its certified divide-and-conquer branches; "taylor" reads the phase of
     the second-order series block. The eigenvector comes from the in-package
     eigensolver; state preparation is out of scope.
+
+    Half a phase bit moves the energy by up to ||c||_1 pi 2^-m / t, which
+    exceeds the whole range ||c||_1 once t < pi 2^-m; such a t raises
+    ContractError.
     """
     m = _check_bit_count(m)
     if t <= 0:
         raise ContractError("evolution time must be positive")
+    if t < math.pi * 2.0**-m:  # the quantization bound ||c||_1 pi 2^-m / t would exceed ||c||_1
+        raise ContractError(f"t = {t:.6g} is below pi * 2^-{m} = {math.pi * 2.0**-m:.6g}: "
+                            "the phase resolution cannot bound the energy")
     s_n, scale = normalize_for_encoding(s)
     h_n = sum_matrix(s_n)
     spectrum = hermitian_eig(h_n)

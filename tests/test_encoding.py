@@ -1,5 +1,7 @@
 """Block-encoding constructions: oracles, dilation, series sandwich."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from tssim.encoding import (
     BlockEncoding,
     b_gate,
     b_norm_sq,
-    apply_postselect,
     dilation_sqrt,
     pi_index,
     pi_permutation,
@@ -18,7 +19,7 @@ from tssim.encoding import (
     taylor_encoding,
     uh_from_sum,
 )
-from tssim.errors import ContractError, DegenerateProjectionError, DomainError, SizeError
+from tssim.errors import ContractError, DomainError, SizeError
 from tssim.linalg import Spectrum, is_unitary, max_abs
 from tssim.pauli import PauliSum, h2_hamiltonian, normalize_for_encoding, sum_matrix
 
@@ -78,15 +79,10 @@ def small_sum_encodings(seed):
     return out
 
 
-def test_stored_slabs_equal_the_multiplied_out_matrix():
+def test_sum_block_equals_leading_block_of_matrix():
     for uh in small_sum_encodings(29):
         n = uh.system_dim
-        block, columns, rows = uh.top_block(), uh.leading_columns(), uh.leading_rows()
-        assert max_abs(block - uh.matrix[:n, :n]) < 1e-12
-        assert columns.shape == (n * uh.ancilla_dim, n)
-        assert max_abs(columns - uh.matrix[:, :n]) < 1e-12
-        assert rows.shape == (n, n * uh.ancilla_dim)
-        assert max_abs(rows - uh.matrix[:n]) < 1e-12
+        assert max_abs(uh.top_block() - uh.matrix[:n, :n]) < 1e-12
 
 
 def test_prepare_select_rejects_a_non_unitary_factor():
@@ -222,24 +218,6 @@ def test_series_single_term_sum():
     assert max_abs(enc.top_block() * enc.scale - want) < 1e-9
 
 
-def test_postselect_success_probability():
-    s, _ = normalize_for_encoding(PauliSum([(0.6, "Z"), (0.4, "X")]))
-    uh = uh_from_sum(s)
-    psi = np.array([1.0, 0.0])
-    out, prob = apply_postselect(uh, psi)
-    h = sum_matrix(s)
-    want = h @ psi
-    assert prob == pytest.approx(float(np.linalg.norm(want) ** 2 / uh.scale**2))
-    assert max_abs(out - want / np.linalg.norm(want)) < 1e-12
-
-
-def test_postselect_degenerate_projection():
-    s = PauliSum([(0.5, "I"), (0.5, "Z")])  # block diag(1, 0) annihilates |1>
-    uh = uh_from_sum(s)
-    with pytest.raises(DegenerateProjectionError):
-        apply_postselect(uh, np.array([0.0, 1.0]))
-
-
 def test_series_respects_dimension_cap(monkeypatch):
     s_n, _ = normalize_for_encoding(h2_hamiltonian())
     uh = uh_from_sum(s_n)  # dimension 256
@@ -264,11 +242,60 @@ def small_series(seed, t=0.3):
 
 
 def test_series_block_equals_leading_block_of_matrix():
-    for seed in range(12):
-        enc = small_series(seed)
+    pauli = [small_series(seed) for seed in range(12)]
+    # Pauli and divide-and-conquer sum encodings, each at a step inside its time budget
+    sums = [taylor_encoding(uh, min(0.3, 0.9 / uh.scale)) for uh in small_sum_encodings(31)]
+    for enc in pauli + sums:
         n = enc.system_dim
         assert enc.matrix.shape == (n * enc.ancilla_dim,) * 2
         assert max_abs(enc.top_block() - enc.matrix[:n, :n]) < 1e-12
+
+
+def test_series_rejects_a_gate_that_feeds_the_inert_branch(monkeypatch):
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))  # orthogonal, with q[0, 3] != 0
+    assert q[0, 3] != 0.0
+    monkeypatch.setattr(encoding, "b_gate", lambda t: q)
+    s, _ = normalize_for_encoding(PauliSum([(0.5, "ZX"), (0.3, "XI"), (0.2, "YY")]))
+    with pytest.raises(DomainError, match="feeds the inert branch"):
+        taylor_encoding(uh_from_sum(s), 0.3)
+
+
+def test_series_rejects_a_route_that_mixes_the_leading_block(monkeypatch):
+    s, _ = normalize_for_encoding(PauliSum([(0.5, "ZX"), (0.3, "XI"), (0.2, "YY")]))
+    uh = uh_from_sum(s)
+    assert uh.ancilla_dim > 1
+    # a bijection, so only the new certificate sees it
+    monkeypatch.setattr(encoding, "pi_index", lambda L_dim, N: np.arange(2 * L_dim * N))
+    with pytest.raises(DomainError, match="does not isolate the leading block"):
+        taylor_encoding(uh, 0.3)
+
+
+def traced_peak(build):
+    """Peak of traced allocations while `build()` runs, above the start, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_sum_and_series_encodings_hold_no_ancilla_sized_slabs():
+    rng = np.random.default_rng(606)
+    words = set()
+    while len(words) < 40:
+        words.add("".join("IXYZ"[i] for i in rng.integers(0, 4, size=6)))
+    s, _ = normalize_for_encoding(PauliSum([(float(rng.normal()), w) for w in sorted(words)]))
+    n, count = 64, len(s.terms)
+    entry = np.dtype(complex).itemsize
+    target = sum_matrix(s)
+    uh = uh_from_sum(s, target)
+    assert (uh.system_dim, uh.ancilla_dim) == (n, 64)
+    # the L word matrices and a few n x n temporaries, nothing of size a n^2
+    assert traced_peak(lambda: uh_from_sum(s, target)) < (count + 8) * n * n * entry
+    assert traced_peak(lambda: taylor_encoding(uh, 0.3)) < 16 * n * n * entry
 
 
 def test_series_matrix_built_on_request_is_unitary():
