@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoding import BLOCK_TOL, BlockEncoding, prepare_select
 from .errors import ContractError, DomainError, ParseError
-from .linalg import as_matrix, inf_norm, max_abs
+from .linalg import as_matrix, inf_norm, max_abs, monomial_sum, unitary_blocks
 
 PRUNE_TOL_DEFAULT = 1e-14
 UNITARY_TOL = 1e-10
@@ -130,11 +130,6 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _unitary_leaves(u: np.ndarray, tol: float) -> np.ndarray:
-    """Per leaf of a (k, 2, 2) stack: whether max-abs(u^H u - I) is at most tol."""
-    return np.abs(_dagger(u) @ u - np.eye(2)).max(axis=(1, 2)) <= tol
-
-
 def _split_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Write each leaf of a (k, 2, 2) stack of contractions as the mean of two unitaries.
 
@@ -166,7 +161,7 @@ def _split_leaves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.where(hermitian[:, None, None], s_herm, root)
     u_plus = a + 1j * s
     u_minus = a - 1j * s
-    bad = (defective & ~hermitian) | ~(_unitary_leaves(u_plus, UNITARY_TOL) & _unitary_leaves(u_minus, UNITARY_TOL))
+    bad = (defective & ~hermitian) | ~(unitary_blocks(u_plus, UNITARY_TOL) & unitary_blocks(u_minus, UNITARY_TOL))
     w, sig, vh = np.linalg.svd(a[bad])
     rot = np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
     u_plus[bad] = (w * (sig + 1j * rot)[:, None, :]) @ vh
@@ -220,27 +215,15 @@ def build_decomposition(m, prune_tol: float = PRUNE_TOL_DEFAULT) -> Decompositio
     return Decomposition(n=n, terms=terms, scale=scale)
 
 
-def term_matrix(term: DecompositionTerm, n: int) -> np.ndarray:
-    """Dense matrix of one branch, blkdiag(v_blocks) @ (P_j (x) I_2)."""
-    rows = 2 ** (n - 1)
-    if len(term.v_blocks) != rows:
-        raise ContractError("v_blocks count does not match dimension")
-    out = np.zeros((2 * rows, 2 * rows), dtype=complex)
-    r = np.arange(rows)
-    out.reshape(rows, 2, rows, 2)[r, :, r ^ term.x_mask] = term.v_blocks
-    return out
+def _factors(d: Decomposition) -> tuple[list, list, np.ndarray]:
+    """(betas, masks, blocks) of d's branches; the reshape rejects a wrong block count."""
+    blocks = np.array([t.v_blocks for t in d.terms], dtype=complex).reshape(len(d.terms), d.dim // 2, 2, 2)
+    return [t.beta for t in d.terms], [t.x_mask for t in d.terms], blocks
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """scale * sum of beta-weighted branch matrices."""
-    rows = d.dim // 2
-    out = np.zeros((d.dim, d.dim), dtype=complex)
-    r = np.arange(rows)
-    for term in d.terms:
-        if len(term.v_blocks) != rows:
-            raise ContractError("v_blocks count does not match dimension")
-        out.reshape(rows, 2, rows, 2)[r, :, r ^ term.x_mask] += term.beta * np.asarray(term.v_blocks)
-    return d.scale * out
+    return d.scale * monomial_sum(*_factors(d))
 
 
 def encoding_shape(d: Decomposition) -> tuple[int, int, float]:
@@ -259,13 +242,12 @@ def encoding_shape(d: Decomposition) -> tuple[int, int, float]:
 def assemble_uh(d: Decomposition) -> BlockEncoding:
     """Prepare/select encoding whose block is the reconstruction over its scale.
 
-    Branch weights feed the prepare oracle; the select operator is the
-    block-diagonal of branch matrices padded with identities. The encoding
-    scale is d.scale times the branch weight sum.
+    Branch weights feed the prepare oracle; each branch enters the select
+    operator as its mask and 2x2 blocks. The encoding scale is d.scale
+    times the branch weight sum.
     """
     scale = encoding_shape(d)[2]
-    unitaries = [term_matrix(t, d.n) for t in d.terms]
-    return prepare_select([t.beta for t in d.terms], unitaries, scale, reconstruct(d))
+    return prepare_select(*_factors(d), scale, reconstruct(d))
 
 
 def check_terms(d: Decomposition, dim: int, tol: float) -> None:
@@ -289,7 +271,7 @@ def check_terms(d: Decomposition, dim: int, tol: float) -> None:
         blocks = np.asarray(t.v_blocks)
         if not np.all(np.abs(blocks) <= 1.0 + tol):
             raise ContractError(f"branch {i} has a block entry of modulus above 1 + {tol}")
-        if not np.all(_unitary_leaves(blocks, tol)):
+        if not np.all(unitary_blocks(blocks, tol)):
             raise ContractError(f"branch {i} has a block that is not unitary within {tol}")
     if not math.isfinite(d.scale * math.fsum(t.beta for t in d.terms)):
         raise ContractError("scale times the summed branch weights overflows")

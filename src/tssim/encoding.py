@@ -3,7 +3,7 @@
 A block encoding is a unitary whose top-left system-sized block equals a
 target operator divided by a known positive scale. Three constructions
 live here: the exact two-block dilation of a Hermitian contraction, the
-prepare/select sum-of-unitaries encoding of a Pauli sum, and the
+prepare/select encoding of a sum of block-permutation unitaries, and the
 second-order truncated-series circuit that combines two applications of
 the sum encoding with a routing permutation. The dilation stores its
 matrix; the other two store only their block, computed from their
@@ -32,8 +32,10 @@ from .linalg import (
     is_unitary,
     kron,
     max_abs,
+    monomial_sum,
+    unitary_blocks,
 )
-from .pauli import PauliSum, sum_matrix, word_matrix
+from .pauli import PauliSum, sum_matrix, word_factors
 
 BLOCK_TOL = 1e-9
 
@@ -87,12 +89,6 @@ def _block_checked(enc: BlockEncoding, target, tol=BLOCK_TOL) -> BlockEncoding:
     return enc
 
 
-def _checked(matrix, system_dim, ancilla_dim, scale, target, tol=BLOCK_TOL) -> BlockEncoding:
-    _require_unitary(matrix, tol)
-    enc = BlockEncoding(matrix=matrix, system_dim=system_dim, ancilla_dim=ancilla_dim, scale=scale)
-    return _block_checked(enc, target, tol)
-
-
 def dilation_sqrt(h, spectrum: Spectrum | None = None) -> BlockEncoding:
     """Exact unitary dilation [[h, -s], [s, h]] with s = sqrt(I - h^2).
 
@@ -113,7 +109,9 @@ def dilation_sqrt(h, spectrum: Spectrum | None = None) -> BlockEncoding:
         raise DomainError(f"I - h^2 is not PSD (eigenvalue {np.min(gap):.3e})")
     root = (spec.vectors * np.sqrt(np.clip(gap, 0.0, None))) @ spec.vectors.conj().T
     s = (root + root.conj().T) / 2.0
-    return _checked(np.block([[h, -s], [s, h]]), h.shape[0], 2, 1.0, h)
+    u = np.block([[h, -s], [s, h]])
+    _require_unitary(u)
+    return _block_checked(BlockEncoding(u, h.shape[0], 2, 1.0), h)
 
 
 def prepare_oracle(coeffs) -> np.ndarray:
@@ -143,47 +141,43 @@ def prepare_oracle(coeffs) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(v, v) / nv
 
 
-def _sandwich_matrix(b: np.ndarray, unitaries, n: int) -> np.ndarray:
-    """(B (x) I) blkdiag(unitaries, I, ...) (B (x) I), multiplied out."""
-    blocks = b.shape[0]
-    sel = np.zeros((check_dim(blocks * n),) * 2, dtype=complex)
-    for i in range(blocks):
-        lo = i * n
-        sel[lo : lo + n, lo : lo + n] = unitaries[i] if i < len(unitaries) else np.eye(n)
+def _sandwich_matrix(b: np.ndarray, masks: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(B (x) I) blkdiag(U_0, ..., U_{L-1}, I, ...) (B (x) I), multiplied out."""
+    n = blocks.shape[1] * blocks.shape[2]
+    sel = np.eye(check_dim(b.shape[0] * n), dtype=complex)
+    for i, (mask, u) in enumerate(zip(masks, blocks)):
+        sel[i * n : (i + 1) * n, i * n : (i + 1) * n] = monomial_sum([1.0], [mask], u[None])
     bw = kron(b, np.eye(n))
     return bw @ sel @ bw
 
 
-def _signed_words(s: PauliSum) -> list:
-    """sign(coeff) * word matrix per term, so the prepare oracle sees only magnitudes."""
-    if not s.terms:
-        raise ContractError("empty sum")
-    return [(-1.0 if c < 0 else 1.0) * word_matrix(w) for c, w in s.terms]
+def prepare_select(weights, masks, blocks, scale: float, target) -> BlockEncoding:
+    """Sum-of-unitaries encoding (B (x) I) blkdiag(U_0, ..., U_{L-1}, I, ...) (B (x) I).
 
-
-def prepare_select(weights, unitaries, scale: float, target) -> BlockEncoding:
-    """Sum-of-unitaries encoding (B (x) I) blkdiag(unitaries, I, ...) (B (x) I).
-
-    B is the prepare oracle of the non-negative weights, so the block is
-    sum_i B[0, i] B[i, 0] U_i = sum_i w_i U_i / sum_i w_i, at O(L n^2); it
-    is checked against target / scale, and it is all the encoding stores.
-    B and every U_i are certified unitary on their own. The (a n)-dimensional
-    matrix is multiplied out from B and the caller's list of unitaries only
-    when `.matrix` is read. A single unitary is its own encoding and needs
-    no ancilla.
+    U_i is the block permutation with k x k blocks[i, r] at block row r and
+    block column r XOR masks[i] (see linalg.monomial_sum). B is the prepare
+    oracle of the non-negative weights, so the block is
+    sum_i B[0, i] B[i, 0] U_i = sum_i w_i U_i / sum_i w_i; it is checked
+    against target / scale, and it is all the encoding stores. B is
+    certified unitary, and each U_i block by block, as max-abs(U^H U - I)
+    is its worst block's. The (a n)-dimensional matrix and the dense U_i
+    are multiplied out only when `.matrix` is read.
     """
     n = target.shape[0]
-    if len(unitaries) == 1:
-        return _checked(unitaries[0], n, 1, scale, target)
     b = prepare_oracle(weights)
-    a = b.shape[0]
-    check_dim(a * n)
+    check_dim(b.shape[0] * n)
     _require_unitary(b)
-    for u in unitaries:
-        _require_unitary(u)
-    block = sum(b[0, i] * b[i, 0] * u for i, u in enumerate(unitaries))
-    enc = BlockEncoding(None, n, a, scale, block=block,
-                        build=lambda: _sandwich_matrix(b, unitaries, n))
+    masks = np.asarray(masks, dtype=np.int64)
+    blocks = np.asarray(blocks, dtype=complex)
+    count = len(weights)
+    if (blocks.ndim != 4 or masks.shape != (count,) or blocks.shape[0] != count
+            or blocks.shape[2] != blocks.shape[3] or blocks.shape[1] * blocks.shape[2] != n):
+        raise ContractError("factors do not fit the target")
+    if not (np.all((masks >= 0) & (masks < blocks.shape[1])) and np.all(unitary_blocks(blocks, BLOCK_TOL))):
+        raise DomainError("constructed encoding is not unitary")
+    block = monomial_sum(b[0, :count] * b[:count, 0], masks, blocks)
+    enc = BlockEncoding(None, n, b.shape[0], scale, block=block,
+                        build=lambda: _sandwich_matrix(b, masks, blocks))
     return _block_checked(enc, target)
 
 
@@ -192,12 +186,14 @@ def uh_from_sum(s: PauliSum, target=None) -> BlockEncoding:
 
     The block equals sum_matrix(s) / scale with scale the coefficient
     1-norm, and is checked against `target`, which is sum_matrix(s) when
-    not given; pass it when already built. Ancilla dimension is the word
-    count rounded up to a power of two; a single-term sum needs no ancilla.
+    not given; pass it when already built. Signs fold into the word phases.
+    Ancilla dimension is the word count rounded up to a power of two; a
+    single-term sum needs no ancilla.
     """
-    mags = [abs(c) for c, _ in s.terms]
-    return prepare_select(mags, _signed_words(s), s.coefficient_one_norm(),
-                          sum_matrix(s) if target is None else target)
+    coeffs = np.array([c for c, _ in s.terms])
+    masks, blocks = word_factors([w for _, w in s.terms], s.n)
+    return prepare_select(np.abs(coeffs), masks, np.sign(coeffs)[:, None, None, None] * blocks,
+                          s.coefficient_one_norm(), sum_matrix(s) if target is None else target)
 
 
 def b_gate(t: float) -> np.ndarray:

@@ -84,6 +84,26 @@ def is_unitary(u, tol: float) -> bool:
     return True
 
 
+def unitary_blocks(u, tol: float) -> np.ndarray:
+    """Per k x k block of a (..., k, k) array: whether max-abs(u^H u - I) is at most tol."""
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1)) <= tol
+
+
+def monomial_sum(weights, masks, blocks) -> np.ndarray:
+    """Dense sum_i weights[i] U_i of block-permutation factors.
+
+    U_i holds blocks[i, r], of an (L, R, k, k) stack, at block row r and
+    block column r XOR masks[i], each mask in [0, R); it is (R k) x (R k).
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    rows, k = blocks.shape[1], blocks.shape[2]
+    out = np.zeros((check_dim(rows * k),) * 2, dtype=complex)
+    r = np.arange(rows)
+    for w, mask, u in zip(weights, masks, blocks):
+        out.reshape(rows, k, rows, k)[r, :, r ^ mask] += w * u
+    return out
+
+
 def hermitian_eig(h) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 

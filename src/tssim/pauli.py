@@ -17,40 +17,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .linalg import check_dim
+from .linalg import check_dim, monomial_sum
 
 COEFF_DROP_TOL = 1e-15
 
-_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}  # (x, z) per letter
+_LETTERS = "IXYZ"
+_X_BITS = str.maketrans(_LETTERS, "0110")
+_Z_BITS = str.maketrans(_LETTERS, "0011")
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 def _check_word(word: str) -> str:
-    if not word or any(ch not in _BITS for ch in word):
+    if not word or any(ch not in _LETTERS for ch in word):
         raise ContractError(f"invalid Pauli word {word!r}")
     return word
 
 
-def _word_action(word: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, values) of a word's nonzero entries, one per column."""
-    x = z = 0
-    for ch in _check_word(word):
-        bx, bz = _BITS[ch]
-        x, z = (x << 1) | bx, (z << 1) | bz
-    cols = np.arange(check_dim(1 << len(word)))
-    parity = np.zeros(cols.size, dtype=np.int64)
-    for bit in range(len(word)):
-        if z >> bit & 1:
-            parity ^= cols >> bit & 1
-    return cols ^ x, cols, _I_POWERS[word.count("Y") % 4] * (1 - 2 * parity)
+def word_factors(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Words of n letters each as block-permutation factors with 1 x 1 blocks.
+
+    Returns (masks, blocks) for linalg.monomial_sum: word i has mask x_i,
+    and its block at row r is i^#Y (-1)^popcount((r XOR x_i) & z_i), the
+    phase it gives the column r XOR x_i.
+    """
+    check_dim(1 << n)
+    x = np.array([int(_check_word(w).translate(_X_BITS), 2) for w in words], dtype=np.int64)
+    z = np.array([int(w.translate(_Z_BITS), 2) for w in words], dtype=np.int64)
+    masked = (np.arange(1 << n) ^ x[:, None]) & z[:, None]  # column r XOR x, on the Z bits
+    parity = np.zeros(masked.shape, dtype=np.int64)
+    for bit in range(n):
+        parity ^= masked >> bit & 1
+    y = np.array([w.count("Y") % 4 for w in words], dtype=np.int64)
+    return x, (np.array(_I_POWERS)[y][:, None] * (1 - 2 * parity))[:, :, None, None]
 
 
 def word_matrix(word: str) -> np.ndarray:
     """Dense matrix of a Pauli word, leftmost letter on the top qubit."""
-    rows, cols, values = _word_action(word)
-    m = np.zeros((cols.size, cols.size), dtype=complex)
-    m[rows, cols] = values
-    return m
+    return monomial_sum([1.0], *word_factors([word], len(word)))
 
 
 @dataclass
@@ -59,7 +62,7 @@ class PauliSum:
 
     Duplicate words are merged in first-appearance order and terms whose
     merged coefficient is below 1e-15 in magnitude are dropped. Non-finite
-    coefficients, or merged sums that overflow, are rejected.
+    coefficients, and merged sums or a 1-norm that overflow, are rejected.
     """
 
     terms: list = field(default_factory=list)
@@ -82,6 +85,8 @@ class PauliSum:
             raise ContractError("a Pauli sum needs at least one term")
         if not all(math.isfinite(c) for c in merged.values()):
             raise ContractError("coefficients must be finite")
+        if not math.isfinite(sum(abs(c) for c in merged.values())):  # fsum would raise OverflowError
+            raise ContractError("coefficient 1-norm overflows")
         self.n = n
         self.terms = [(c, w) for w, c in merged.items() if abs(c) >= COEFF_DROP_TOL]
 
@@ -95,11 +100,7 @@ class PauliSum:
 
 def sum_matrix(s: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of the weighted word sum."""
-    m = np.zeros((check_dim(s.dim),) * 2, dtype=complex)
-    for coeff, word in s.terms:
-        rows, cols, values = _word_action(word)
-        m[rows, cols] += coeff * values
-    return m
+    return monomial_sum([c for c, _ in s.terms], *word_factors([w for _, w in s.terms], s.n))
 
 
 def normalize_for_encoding(s: PauliSum) -> tuple[PauliSum, float]:
@@ -111,8 +112,6 @@ def normalize_for_encoding(s: PauliSum) -> tuple[PauliSum, float]:
     if not s.terms:
         raise ContractError("cannot normalize an empty sum")
     scale = s.coefficient_one_norm()
-    if scale <= 0.0:
-        raise ContractError("coefficient 1-norm is zero")
     return PauliSum([(c / scale, w) for c, w in s.terms]), scale
 
 
@@ -163,7 +162,7 @@ def parse_pauli_file(text: str) -> PauliSum:
             raise ParseError(f"line {lineno}: bad coefficient {coeff_text!r}") from None
         if not math.isfinite(coeff):
             raise ParseError(f"line {lineno}: non-finite coefficient {coeff_text!r}")
-        if any(ch not in _BITS for ch in word):
+        if any(ch not in _LETTERS for ch in word):
             raise ParseError(f"line {lineno}: bad Pauli word {word!r}")
         if width is None:
             width = len(word)

@@ -414,11 +414,12 @@ def test_unwritable_output_exits_2_with_json_error(capsys):
 
 def test_overflowing_sum_exits_3_instead_of_emitting_nan(tmp_path):
     p = tmp_path / "h.pauli"
-    p.write_text("1e308 ZI\n1e308 IZ\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, doc = run(RunConfig(command="encode", input_path=str(p), t=0.0))
-    assert code == 3
-    assert "block equality" in doc["error"]["message"]
+    p.write_text("1e308 ZI\n1e308 IZ\n")  # each coefficient is finite, their 1-norm is not
+    for command, method in (("encode", "exact"), ("estimate", "exact"), ("estimate", "taylor"),
+                            ("estimate", "dc")):
+        code, doc = run(RunConfig(command=command, input_path=str(p), method=method, t=0.2))
+        assert code == 3, (command, method)
+        assert doc["error"]["message"] == "coefficient 1-norm overflows"
 
 
 def test_run_config_time_defaults_follow_the_command(tmp_path):

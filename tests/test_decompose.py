@@ -1,5 +1,6 @@
 """Quadrant-word bookkeeping, unitary splits, and reconstruction."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from tssim.decompose import (
     reconstruct,
     reconstruction_residual,
     recursive_decompose,
-    term_matrix,
     unitary_split,
 )
 from tssim.errors import ContractError, DomainError, ParseError, SizeError
@@ -142,7 +142,7 @@ def test_reconstruction_random_matrices():
 def test_term_matrix_block_placement():
     d = build_decomposition(sum_matrix(h2_hamiltonian()))
     for term in d.terms:
-        tm = term_matrix(term, d.n)
+        tm = reconstruct(Decomposition(d.n, [dataclasses.replace(term, beta=1.0)], 1.0))
         assert max_abs(tm.conj().T @ tm - np.eye(d.dim)) < 1e-9
         for r in range(d.dim // 2):
             c = r ^ term.x_mask

@@ -47,15 +47,6 @@ def test_prepare_oracle_rejects_negative_weights():
         prepare_oracle([0.5, -0.1])
 
 
-def test_signed_words_absorb_coefficient_signs():
-    s = PauliSum([(0.5, "X"), (-0.25, "Z")])
-    x_word, z_word = encoding._signed_words(s)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0])
-    assert max_abs(x_word - x) < 1e-15
-    assert max_abs(z_word + z) < 1e-15  # sign absorbed into the word
-
-
 def test_uh_block_equals_sum_over_scale():
     rng = np.random.default_rng(17)
     for k in range(20):
@@ -87,10 +78,19 @@ def test_sum_block_equals_leading_block_of_matrix():
 
 def test_prepare_select_rejects_a_non_unitary_factor():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    bent = np.diag([1.0, -0.5]).astype(complex)
-    target = 0.5 * x + 0.5 * bent  # the block matches: only the factor check sees it
-    with pytest.raises(DomainError, match="not unitary"):
-        prepare_select([0.5, 0.5], [x, bent], 1.0, target)
+    cases = [
+        # a phase of modulus 0.5: the block still matches, so only the factor check sees it
+        ([1, 0], [[[[1]], [[1]]], [[[1]], [[-0.5]]]], 0.5 * x + 0.5 * np.diag([1.0, -0.5])),
+        # a bent 2x2 branch block beside a unitary swap of two 2x2 blocks
+        ([1, 0], [[np.eye(2), np.eye(2)], [np.eye(2), np.diag([1.0, 0.5])]],
+         0.5 * np.kron(x, np.eye(2)) + 0.5 * np.diag([1.0, 1.0, 1.0, 0.5])),
+        # masks outside [0, R): no block column to place the factor in
+        ([1, 2], [[[[1]], [[1]]], [[[1]], [[1]]]], x),
+        ([1, -1], [[[[1]], [[1]]], [[[1]], [[1]]]], x),
+    ]
+    for masks, blocks, target in cases:
+        with pytest.raises(DomainError, match="not unitary"):
+            prepare_select([0.5, 0.5], masks, blocks, 1.0, target)
 
 
 def test_builders_record_their_block_residual():
@@ -288,13 +288,13 @@ def test_sum_and_series_encodings_hold_no_ancilla_sized_slabs():
     while len(words) < 40:
         words.add("".join("IXYZ"[i] for i in rng.integers(0, 4, size=6)))
     s, _ = normalize_for_encoding(PauliSum([(float(rng.normal()), w) for w in sorted(words)]))
-    n, count = 64, len(s.terms)
+    n = 64
     entry = np.dtype(complex).itemsize
     target = sum_matrix(s)
     uh = uh_from_sum(s, target)
     assert (uh.system_dim, uh.ancilla_dim) == (n, 64)
-    # the L word matrices and a few n x n temporaries, nothing of size a n^2
-    assert traced_peak(lambda: uh_from_sum(s, target)) < (count + 8) * n * n * entry
+    # a few n x n temporaries: no word matrix, nothing of size a n^2
+    assert traced_peak(lambda: uh_from_sum(s, target)) < 8 * n * n * entry
     assert traced_peak(lambda: taylor_encoding(uh, 0.3)) < 16 * n * n * entry
 
 

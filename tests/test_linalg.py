@@ -14,6 +14,8 @@ from tssim.linalg import (
     is_unitary,
     kron,
     max_abs,
+    monomial_sum,
+    unitary_blocks,
 )
 
 
@@ -74,6 +76,45 @@ def test_hermitian_eig_real_diagonal_is_exact():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ContractError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def dense_factor(mask, blocks):
+    """A block permutation written out entry by entry."""
+    rows, k = blocks.shape[0], blocks.shape[1]
+    u = np.zeros((rows * k, rows * k), dtype=complex)
+    for r in range(rows):
+        c = r ^ mask
+        u[r * k : (r + 1) * k, c * k : (c + 1) * k] = blocks[r]
+    return u
+
+
+@pytest.mark.parametrize("rows, k", [(1, 1), (4, 1), (8, 2), (2, 3)])
+def test_monomial_sum_matches_dense_factors(rows, k):
+    rng = np.random.default_rng(rows * 10 + k)
+    count = 5
+    weights = rng.normal(size=count)
+    masks = rng.integers(0, rows, size=count)
+    blocks = rng.normal(size=(count, rows, k, k)) + 1j * rng.normal(size=(count, rows, k, k))
+    want = sum(w * dense_factor(m, b) for w, m, b in zip(weights, masks, blocks))
+    assert max_abs(monomial_sum(weights, masks, blocks) - want) < 1e-12
+
+
+def test_monomial_sum_of_no_factors_is_zero():
+    out = monomial_sum([], [], np.zeros((0, 4, 2, 2)))
+    assert out.shape == (8, 8)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unitary_blocks_matches_is_unitary(k):
+    rng = np.random.default_rng(k)
+    q = [np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0] for _ in range(6)]
+    stack = np.array(q).reshape(2, 3, k, k)
+    stack[1, 2, 0, 0] *= 1.5
+    got = unitary_blocks(stack, 1e-9)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[is_unitary(b, 1e-9) for b in row] for row in stack]
+    assert got.sum() == 5
 
 
 def test_is_unitary_across_row_steps():

@@ -140,7 +140,14 @@ def test_commands_build_only_what_they_read(monkeypatch, cfg, prepares, sums):
 def test_single_term_series_certifies_its_sum_encoding_once(monkeypatch):
     checks = counted(monkeypatch, linalg, "is_unitary")
     taylor_encoding(uh_from_sum(PauliSum([(-0.75, "XY")])), 0.5)
-    assert len(checks) == 2  # the word itself and the coefficient gate
+    assert len(checks) == 2  # the prepare oracle (1 x 1) and the coefficient gate
+
+
+def test_taylor_estimate_certifies_its_factors_without_dense_words(monkeypatch):
+    checks = counted(monkeypatch, linalg, "is_unitary")
+    words = counted(monkeypatch, pauli, "word_matrix")
+    estimate_ground_energy(h2_hamiltonian(), t=0.2, m=8, method="taylor")
+    assert (len(checks), len(words)) == (2, 0)  # B and the coefficient gate; words block by block
 
 
 def test_pea_large_register_uses_analytic_peak():
