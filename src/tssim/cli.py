@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -100,6 +102,8 @@ def _read_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{path} is not valid JSON: nesting too deep") from None
 
 
 def _load_pauli(cfg: RunConfig):
@@ -385,8 +389,69 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
+@functools.lru_cache(maxsize=64)  # one template per (shape, indent); the decompose terms share theirs
+def _grid_template(shape: tuple, indent: str) -> str:
+    """%-template that lays out a float grid of this shape as json's indent=2 does."""
+    if not shape:
+        return "%r"
+    inner = indent + "  "
+    row = _grid_template(shape[1:], inner)
+    return f"[\n{inner}" + f",\n{inner}".join([row] * shape[0]) + f"\n{indent}]"
+
+
+def _float_grid(items) -> tuple | None:
+    """(shape, flat values) of a rectangular grid of finite floats, else None."""
+    shape, level = [len(items)], items
+    while (types := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if types == {float} and all(map(math.isfinite, level)):  # %r of a float is float.__repr__
+        return tuple(shape), tuple(level)
+    return None
+
+
+def _encode(o, indent: str = "") -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte; float grids in one % pass."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+    inner = indent + "  "
+    sep = f",\n{inner}"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        grid = _float_grid(o)
+        if grid:
+            return _grid_template(grid[0], indent) % grid[1]
+        body = sep.join([_encode(v, inner) for v in o])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, output_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _encode(doc) + "\n"
     if output_path:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -310,6 +310,8 @@ def load_dense_json(doc: dict) -> np.ndarray:
             flat = np.array([complex(float(re), float(im)) for re, im in entries])
         except (TypeError, ValueError):
             raise ParseError("entries must be [re, im] pairs") from None
+        except OverflowError:  # an integer literal beyond the float range
+            raise ParseError("entries must lie within the float range") from None
     elif "real" in doc:
         vals = doc["real"]
         if not isinstance(vals, list) or len(vals) != dim * dim:
@@ -318,6 +320,8 @@ def load_dense_json(doc: dict) -> np.ndarray:
             flat = np.array([float(v) for v in vals], dtype=complex)
         except (TypeError, ValueError):
             raise ParseError("real entries must be numbers") from None
+        except OverflowError:
+            raise ParseError("real entries must lie within the float range") from None
     else:
         raise ParseError("dense matrix needs 'entries' or 'real'")
     return flat.reshape(dim, dim)

@@ -387,6 +387,52 @@ def test_dense_json_infinite_dim_exits_2(tmp_path):
     assert code == 2
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # a 401-digit integer literal, past the largest float
+
+
+@pytest.mark.parametrize("key, body", [("entries", f"[[{BEYOND_FLOAT}, 0.0]]"), ("real", f"[{BEYOND_FLOAT}]")],
+                         ids=["entries", "real"])
+@pytest.mark.parametrize("argv", [["decompose"], ["gates", "--method", "dense"], ["gates", "--method", "dc"]],
+                         ids=["decompose", "gates-dense", "gates-dc"])
+def test_dense_json_int_beyond_the_float_range_exits_2(tmp_path, capsys, key, body, argv):
+    # float() of the literal raised OverflowError, which escaped as a traceback with exit 1
+    p = tmp_path / "m.json"
+    p.write_text(f'{{"dim": 1, "{key}": {body}}}')
+    assert main(argv + ["--input", str(p), "--format", "dense"]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError" and error["message"].endswith("within the float range")
+    assert captured.err == ""
+
+
+def test_dense_json_int_beyond_the_float_range_prints_no_traceback(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text(f'{{"dim": 1, "entries": [[{BEYOND_FLOAT}, 0.0]]}}')
+    done = _module_run("decompose", "--input", str(p), "--format", "dense")
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"]["type"] == "ParseError"
+    assert done.stderr == ""
+
+
+def test_verify_rejects_an_embedded_int_beyond_the_float_range(tmp_path):
+    doc = _decompose_doc(tmp_path)
+    doc["matrix"]["entries"][0] = [int(BEYOND_FLOAT), 0.0]
+    code, vdoc = _verify(tmp_path, doc)
+    assert code == 2
+    assert vdoc["error"]["message"] == "entries must lie within the float range"
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--format", "dense"], ["verify"]], ids=["decompose", "verify"])
+def test_json_nested_too_deep_exits_2(tmp_path, capsys, argv):
+    # json.loads raised RecursionError, which escaped as a traceback with exit 1
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    assert main(argv + ["--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["message"] == f"{p} is not valid JSON: nesting too deep"
+    assert captured.err == ""
+
+
 def test_non_utf8_input_exits_2(tmp_path):
     p = tmp_path / "h.pauli"
     p.write_bytes(b"0.5 \xff\xfe\n")
@@ -480,71 +526,15 @@ def test_non_finite_time_exits_3(capsys, argv):
     assert json.loads(capsys.readouterr().out)["error"]["message"].startswith("t must be a finite")
 
 
-def test_time_below_the_phase_resolution_exits_3(capsys):
-    # below pi 2^-m the quantization bound exceeds ||c||_1; t = 1e-300 used to report 1.65e284
-    for t, bits in ((1e-300, 4), (0.19, 4), (0.2, 3)):
-        assert main(["estimate", "--input", H2_PATH, "--t", str(t), "--bits", str(bits)]) == 3
-        assert "phase resolution" in json.loads(capsys.readouterr().out)["error"]["message"]
-    assert main(["estimate", "--input", H2_PATH, "--t", "0.2", "--bits", "4", "--method", "taylor"]) == 0
-    assert main(["h2", "--bits", "3"]) == 3  # its taylor route runs at t = 0.2 < pi / 8
-
-
-@pytest.mark.parametrize("argv", [["decompose"], ["gates", "--method", "dc"]])
-def test_overflowing_row_sum_exits_3_without_warnings(tmp_path, capsys, argv):
-    # every entry is finite; only the first row sum overflows
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"dim": 2, "real": [1e308, 1e308, 0, 0]}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(argv + ["--input", str(path), "--format", "dense"])
-    err = json.loads(capsys.readouterr().out)
-    assert rc == 3
-    assert err["error"]["message"] == "largest absolute row sum inf is not finite"
-
-
-def test_verify_rejects_overflowing_row_sum_without_warnings(tmp_path):
-    # an infinite norm made the tolerance infinite, so any residual passed
-    doc = _decompose_doc(tmp_path)
-    doc["matrix"] = {"dim": 4, "real": [1e308, 1e308] + [0.0] * 14}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, vdoc = _verify(tmp_path, doc)
-    assert code == 3
-    assert vdoc["error"]["message"] == "largest absolute row sum inf is not finite"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-def test_malformed_dimension_cap_exits_2(monkeypatch, capsys, value):
-    monkeypatch.setenv("TS_SIM_MAX_DIM", value)
-    assert main(["encode", "--input", H2_PATH]) == 2
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err["type"] == "ParseError"
-    assert "TS_SIM_MAX_DIM" in err["message"] and repr(value) in err["message"]
-
-
-def test_encode_emit_matrix_needs_a_time(capsys):
-    # without --t there is no series matrix to embed; it used to exit 0 without one
-    assert main(["encode", "--input", H2_PATH, "--emit-matrix"]) == 3
-    message = json.loads(capsys.readouterr().out)["error"]["message"]
-    assert "--emit-matrix" in message and "--t" in message
-
-
-@pytest.mark.parametrize("argv", [["estimate", "--t", "nan"], ["estimate", "--t", "inf"],
-                                  ["encode", "--t", "nan"]])
-def test_non_finite_time_exits_3(capsys, argv):
-    assert main(argv + ["--input", H2_PATH]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith("t must be a finite")
-
-
 @pytest.mark.parametrize("t, bits", [(1e-300, 4), (0.19, 4), (0.2, 3)])
 def test_time_below_the_phase_resolution_exits_3(capsys, t, bits):
     # below pi 2^-m the quantization bound exceeds ||c||_1; t = 1e-300 used to report 1.65e284
-    assert main(["estimate", "--input", H2_PATH, "--t", str(t), "--bits", str(bits),
-                 "--method", "taylor"]) == 3
-    assert "phase resolution" in json.loads(capsys.readouterr().out)["error"]["message"]
+    for method in ([], ["--method", "taylor"]):  # the default route is exact
+        assert main(["estimate", "--input", H2_PATH, "--t", str(t), "--bits", str(bits), *method]) == 3
+        assert "phase resolution" in json.loads(capsys.readouterr().out)["error"]["message"]
     assert main(["estimate", "--input", H2_PATH, "--t", "0.2", "--bits", "4", "--method", "taylor"]) == 0
     capsys.readouterr()
-    assert main(["h2", "--bits", "3"]) == 3  # its taylor route runs at t = 0.2
+    assert main(["h2", "--bits", "3"]) == 3  # its taylor route runs at t = 0.2 < pi / 8
 
 
 @pytest.mark.parametrize("argv", [["decompose"], ["gates", "--method", "dc"]])
