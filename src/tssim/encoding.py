@@ -5,15 +5,18 @@ target operator divided by a known positive scale. Three constructions
 live here: the exact two-block dilation of a Hermitian contraction, the
 prepare/select encoding of a sum of block-permutation unitaries, and the
 second-order truncated-series circuit that combines two applications of
-the sum encoding with a routing permutation. The dilation stores its
-matrix; the other two store only their block, computed from their
-certified factors, and multiply the circuit out only on request.
+the sum encoding with a routing permutation. Each stores only its block,
+computed from certified factors, and multiplies the circuit out only on
+request, yet is held to TS_SIM_MAX_DIM at its full dimension (2N, aN, 4aN).
 
-The sum encoding's block is A = sum_i B[0, i] B[i, 0] U_i. The series
-block is b00^2 A + i b01 b10 I - i b02 b20 A A, read from A and the
-coefficient gate b alone, once two certificates hold: b feeds no inert
-branch (b[0, 3] = b[3, 0] = 0), and the route isolates the leading block,
-so the branch that applies the sum encoding twice reads A A.
+The dilation's factor is the N x N unitary W = h + i sqrt(I - h^2), formed
+on the spectrum of h; the dilation acts as W on the states (v, -i v)/sqrt(2)
+that phase estimation reads. The sum encoding's block is
+A = sum_i B[0, i] B[i, 0] U_i. The series block is
+b00^2 A + i b01 b10 I - i b02 b20 A A, read from A and the coefficient gate
+b alone, once two certificates hold: b feeds no inert branch
+(b[0, 3] = b[3, 0] = 0), and the route isolates the leading block, so the
+branch that applies the sum encoding twice reads A A.
 """
 
 from __future__ import annotations
@@ -47,12 +50,15 @@ class BlockEncoding:
     ancilla on zero recovers the block. An encoding given its matrix keeps
     it. One computed from certified factors keeps only the block and
     `build`, which multiplies the factors out on the first read of `matrix`
-    and is then dropped for the cached result.
+    and is then dropped for the cached result. A dilation also keeps its
+    certified factor W as `upper` (see dilation_sqrt).
 
     `residual` is the certificate: this module's builders check the encoding
     unitary (whole or factor by factor), then record max-abs(scale * block -
     target). A caller's encoding has residual None; its consumer checks it.
     """
+
+    upper: np.ndarray | None = None
 
     def __init__(self, matrix, system_dim: int, ancilla_dim: int, scale: float, *,
                  block=None, build: Callable[[], np.ndarray] | None = None):
@@ -94,12 +100,16 @@ def dilation_sqrt(h, spectrum: Spectrum | None = None) -> BlockEncoding:
 
     Requires h Hermitian with spectral norm at most 1. Eigenphases come in
     conjugate pairs exp(+-i theta) with cos(theta) equal to the eigenvalues
-    of h, so the block carries scale 1. s = V diag(sqrt(1 - w^2)) V^H is
-    formed on the spectrum (w, V) of h that the norm check reads; pass it as
-    `spectrum` when it is already solved. 1 - w^2 in [-1e-10, 0) counts as
-    zero, anything more negative raises DomainError.
+    of h, so the block carries scale 1. The factor W = h + i s, kept as
+    `upper`, is V diag(w + i sqrt(1 - w^2)) V^H on the spectrum (w, V) of h
+    that the norm check reads; pass it as `spectrum` when it is already
+    solved. 1 - w^2 in [-1e-10, 0) counts as zero, anything more negative
+    raises DomainError. W is certified unitary and its Hermitian part equal
+    to h; as h and s commute, that makes the dilation unitary. It maps
+    (v, -i v)/sqrt(2) to (W v, -i W v)/sqrt(2), and is built on reading `.matrix`.
     """
     h = as_matrix(h)
+    n = check_dim(2 * h.shape[0]) // 2
     spec = hermitian_eig(h) if spectrum is None else spectrum
     w = spec.values
     if np.max(np.abs(w)) > 1.0 + 1e-10:
@@ -107,11 +117,14 @@ def dilation_sqrt(h, spectrum: Spectrum | None = None) -> BlockEncoding:
     gap = 1.0 - w * w
     if np.min(gap) < -1e-10:
         raise DomainError(f"I - h^2 is not PSD (eigenvalue {np.min(gap):.3e})")
-    root = (spec.vectors * np.sqrt(np.clip(gap, 0.0, None))) @ spec.vectors.conj().T
-    s = (root + root.conj().T) / 2.0
-    u = np.block([[h, -s], [s, h]])
-    _require_unitary(u)
-    return _block_checked(BlockEncoding(u, h.shape[0], 2, 1.0), h)
+    upper = (spec.vectors * (w + 1j * np.sqrt(np.clip(gap, 0.0, None)))) @ spec.vectors.conj().T
+    _require_unitary(upper)
+    if not max_abs((upper + upper.conj().T) / 2.0 - h) <= BLOCK_TOL:
+        raise DomainError("the spectrum does not reproduce h")
+    s = (upper - upper.conj().T) / 2j
+    enc = BlockEncoding(None, n, 2, 1.0, block=h, build=lambda: np.block([[h, -s], [s, h]]))
+    enc.upper = upper
+    return _block_checked(enc, h)
 
 
 def prepare_oracle(coeffs) -> np.ndarray:

@@ -14,7 +14,6 @@ eigenvalue modulus sqrt(1 + t^4 lambda^4 / 4).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ EIGVEC_TOL = 1e-8
 UNITARY_TOL = 1e-9
 TIE_TOL = 1e-12
 MAX_BITS = 48
+FIXED_POINT_ROUNDS = 128
 
 METHOD_EXACT = "exact-dilation"
 METHOD_TAYLOR = "taylor"
@@ -125,7 +125,8 @@ def _pea_core(phi: float, m: int) -> tuple[list, float, float]:
     return _bit_list(best, m), best / size, prob
 
 
-def _ipea_core(phi: float, m: int, shots=None, rng=None) -> tuple[list, float, float, bool]:
+def _ipea_core(phi: float, m: int, shots=None, seed: int = 0) -> tuple[list, float, float, bool]:
+    rng = np.random.default_rng(seed) if shots is not None else None
     bits = []
     prob = 1.0
     tie = False
@@ -153,15 +154,17 @@ def _ipea_core(phi: float, m: int, shots=None, rng=None) -> tuple[list, float, f
     return bits, _phase_of_bits(bits), min(1.0, prob), tie
 
 
-def _estimate(bits, phase, prob, method, tie=False) -> PhaseEstimate:
-    return PhaseEstimate(
-        bits=bits,
-        phase=phase,
-        eigenvalue=math.cos(2.0 * math.pi * phase),
-        success_prob=prob,
-        method=method,
-        tie=tie,
-    )
+def _readout(phi: float, m: int, estimator: str, method: str, post: float = 1.0,
+             shots=None, seed: int = 0) -> PhaseEstimate:
+    """The named estimator's m-bit reading of eigenphase phi; success_prob is scaled by `post`."""
+    if estimator == "pea":
+        bits, phase, prob = _pea_core(phi, m)
+        tie = False
+    elif estimator == "ipea":
+        bits, phase, prob, tie = _ipea_core(phi, m, shots, seed)
+    else:
+        raise ContractError(f"unknown estimator {estimator!r}")
+    return PhaseEstimate(bits, phase, math.cos(2.0 * math.pi * phase), min(1.0, prob * post), method, tie)
 
 
 def pea_phase(u, v, m: int) -> PhaseEstimate:
@@ -173,9 +176,7 @@ def pea_phase(u, v, m: int) -> PhaseEstimate:
     never below 4/pi^2).
     """
     m = _check_bit_count(m)
-    phi = _phase_of(_eigenvalue_of(u, v))
-    bits, phase, prob = _pea_core(phi, m)
-    return _estimate(bits, phase, prob, METHOD_DIRECT)
+    return _readout(_phase_of(_eigenvalue_of(u, v)), m, "pea", METHOD_DIRECT)
 
 
 def ipea_msb(u, v, m: int, shots=None, seed: int = 0) -> PhaseEstimate:
@@ -192,35 +193,30 @@ def ipea_msb(u, v, m: int, shots=None, seed: int = 0) -> PhaseEstimate:
     m = _check_bit_count(m)
     if shots is not None and (int(shots) != shots or shots < 1):
         raise ContractError("shots must be a positive integer")
-    phi = _phase_of(_eigenvalue_of(u, v))
-    rng = np.random.default_rng(seed) if shots is not None else None
-    bits, phase, prob, tie = _ipea_core(phi, m, shots, rng)
-    return _estimate(bits, phase, prob, METHOD_DIRECT, tie)
+    return _readout(_phase_of(_eigenvalue_of(u, v)), m, "ipea", METHOD_DIRECT, shots=shots, seed=seed)
 
 
-def eigenvalue_from_phase(p: PhaseEstimate, t: float, method: str | None = None,
-                          correct: bool = True, iterations: int = 128) -> float:
+def eigenvalue_from_phase(p: PhaseEstimate, t: float, correct: bool = True) -> float:
     """Generator eigenvalue from a phase estimate at evolution time t.
 
     Unit-modulus encodings read lambda = cos(2pi phase) / t directly. The
-    truncated-series method first does the same, then reweights by the
-    series modulus through the fixed point
+    truncated-series method (p.method) first does the same, then reweights
+    by the series modulus through the fixed point
     lambda <- cos(2pi phase) sqrt(1 + t^4 lambda^4 / 4) / t,
     because the estimator measures only the argument of
     t lambda + i (1 - t^2 lambda^2 / 2), not its length. The map contracts
     whenever |t lambda| <= 1, so it runs to float-level convergence,
-    `iterations` rounds at most. Pass correct=False for the uncorrected
-    first value.
+    FIXED_POINT_ROUNDS rounds at most. Pass correct=False for the
+    uncorrected first value.
     """
     if t <= 0:
         raise ContractError("evolution time must be positive")
-    method = p.method if method is None else method
-    if method not in _METHODS:
-        raise ContractError(f"unknown method tag {method!r}")
+    if p.method not in _METHODS:
+        raise ContractError(f"unknown method tag {p.method!r}")
     c = math.cos(2.0 * math.pi * p.phase)
     lam = c / t
-    if method == METHOD_TAYLOR and correct:
-        for _ in range(iterations):
+    if p.method == METHOD_TAYLOR and correct:
+        for _ in range(FIXED_POINT_ROUNDS):
             new = c * math.sqrt(1.0 + t**4 * lam**4 / 4.0) / t
             done = abs(new - lam) <= 1e-15 * max(1.0, abs(new))
             lam = new
@@ -252,24 +248,14 @@ def taylor_phase(enc: BlockEncoding, v, m: int, estimator: str = "pea") -> Phase
     mu = _eigenvalue_on(enc.top_block() * enc.scale, v, "series block")
     if abs(mu) < 1e-14:
         raise NumericError("series block annihilates the vector")
-    phi = _phase_of(mu / abs(mu))
-    if estimator == "pea":
-        bits, phase, prob = _pea_core(phi, m)
-        tie = False
-    elif estimator == "ipea":
-        bits, phase, prob, tie = _ipea_core(phi, m)
-    else:
-        raise ContractError(f"unknown estimator {estimator!r}")
-    post = min(1.0, (abs(mu) / enc.scale) ** 2)
-    return _estimate(bits, phase, min(1.0, prob * post), METHOD_TAYLOR, tie)
+    return _readout(_phase_of(mu / abs(mu)), m, estimator, METHOD_TAYLOR,
+                    min(1.0, (abs(mu) / enc.scale) ** 2))
 
 
-def _run_unitary_estimator(u, v, m: int, estimator: str) -> PhaseEstimate:
-    if estimator == "pea":
-        return pea_phase(u, v, m)
-    if estimator == "ipea":
-        return ipea_msb(u, v, m)
-    raise ContractError(f"unknown estimator {estimator!r}")
+def _dilation_phase(enc: BlockEncoding, v, m: int, estimator: str) -> PhaseEstimate:
+    """Reading of the dilation on dilated_eigenvector(v), taken from its factor W on v."""
+    mu = _eigenvalue_on(enc.upper, v, "unitary")
+    return _readout(_phase_of(mu / abs(mu)), m, estimator, METHOD_EXACT)
 
 
 def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
@@ -283,7 +269,9 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     normalized matrix directly; "dc" dilates the matrix reconstructed from
     its certified divide-and-conquer branches; "taylor" reads the phase of
     the second-order series block. The eigenvector comes from the in-package
-    eigensolver; state preparation is out of scope.
+    eigensolver, run once on the matrix the route encodes; dc checks it is
+    an eigenvector of the normalized matrix too. State preparation is out
+    of scope.
 
     Half a phase bit moves the energy by up to ||c||_1 pi 2^-m / t, which
     exceeds the whole range ||c||_1 once t < pi 2^-m; such a t raises
@@ -295,29 +283,25 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
     if t < math.pi * 2.0**-m:  # the quantization bound ||c||_1 pi 2^-m / t would exceed ||c||_1
         raise ContractError(f"t = {t:.6g} is below pi * 2^-{m} = {math.pi * 2.0**-m:.6g}: "
                             "the phase resolution cannot bound the energy")
-    s_n, scale = normalize_for_encoding(s)
-    h_n = sum_matrix(s_n)
-    spectrum = hermitian_eig(h_n)
-    v = spectrum.vectors[:, 0]
-
-    if method == "taylor":
-        enc = taylor_encoding(uh_from_sum(s_n, h_n), t)
-        est = taylor_phase(enc, v, m, estimator)
-        lam = eigenvalue_from_phase(est, t, correct=correct)
-    elif method in ("exact", METHOD_EXACT, "dc"):
-        h, spec = h_n, Spectrum(t * spectrum.values, spectrum.vectors)
-        if method == "dc":  # a matrix other than h_n: the dilation solves its spectrum
-            d = build_decomposition(h_n)
-            encoding_shape(d)  # a branch, each block unitary; the encoding itself is not built
-            h = reconstruct(d)
-            h, spec = (h + h.conj().T) / 2.0, None
-        enc = dilation_sqrt(t * h, spec)
-        est = _run_unitary_estimator(enc, dilated_eigenvector(v), m, estimator)
-        est = dataclasses.replace(est, method=METHOD_EXACT)
-        lam = eigenvalue_from_phase(est, t)
-    else:
+    if method not in ("exact", "taylor", "dc"):
         raise ContractError(f"unknown method {method!r}")
-    return scale * lam, est
+    s_n, scale = normalize_for_encoding(s)
+    h = h_n = sum_matrix(s_n)
+    if method == "dc":
+        d = build_decomposition(h_n)
+        encoding_shape(d)  # a branch, each block unitary; the encoding itself is not built
+        h = reconstruct(d)
+        h = (h + h.conj().T) / 2.0
+    spectrum = hermitian_eig(h)
+    v = spectrum.vectors[:, 0]
+    if method == "dc":
+        _eigenvalue_on(h_n, v, "normalized Hamiltonian")
+    if method == "taylor":
+        est = taylor_phase(taylor_encoding(uh_from_sum(s_n, h_n), t), v, m, estimator)
+    else:
+        enc = dilation_sqrt(t * h, Spectrum(t * spectrum.values, spectrum.vectors))
+        est = _dilation_phase(enc, v, m, estimator)
+    return scale * eigenvalue_from_phase(est, t, correct), est
 
 
 def histogram_prob_diff(ensemble_size: int, iterations: int = 20, seed: int = 0) -> dict:

@@ -512,6 +512,14 @@ def test_malformed_dimension_cap_exits_2(monkeypatch, capsys, value):
     assert "TS_SIM_MAX_DIM" in err["message"] and repr(value) in err["message"]
 
 
+@pytest.mark.parametrize("method", ["exact", "dc"])
+def test_dilation_routes_exit_3_beyond_the_dimension_cap(monkeypatch, capsys, method):
+    # the 2N = 32 dilation of H2 used to pass a cap of 16
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "16")
+    assert main(["estimate", "--input", H2_PATH, "--method", method]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == "dense dimension 32 exceeds cap 16"
+
+
 def test_encode_emit_matrix_needs_a_time(capsys):
     # without --t there is no series matrix to embed; it used to exit 0 without one
     assert main(["encode", "--input", H2_PATH, "--emit-matrix"]) == 3

@@ -159,6 +159,35 @@ def test_dilation_clamps_only_a_tiny_negative_gap():
         dilation_sqrt(np.diag([1.0 + 7e-11, 0.2]))
 
 
+def test_dilation_acts_as_its_factor_on_the_upper_branch():
+    rng = np.random.default_rng(29)
+    n = 8
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g + g.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2) * 1.1
+    enc = dilation_sqrt(h)
+    assert max_abs(enc.upper - (enc.matrix[:n, :n] + 1j * enc.matrix[n:, :n])) < 1e-15
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)  # any vector, not only an eigenvector
+    x = np.concatenate([v, -1j * v])
+    wv = enc.upper @ v
+    assert max_abs(enc.matrix @ x - np.concatenate([wv, -1j * wv])) < 1e-12
+
+
+def test_dilation_rejects_a_spectrum_of_another_matrix():
+    # W = diag(0.5 + i 0.87, -0.2 + i 0.98) is unitary, but its Hermitian part is not h
+    with pytest.raises(DomainError, match="spectrum"):
+        dilation_sqrt(np.diag([0.5, -0.25]), spectrum=Spectrum(np.array([0.5, -0.2]), np.eye(2)))
+
+
+def test_dilation_builds_its_matrix_only_when_read(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(encoding.np, "block", lambda parts: blocks.append(parts) or np.eye(4))
+    enc = dilation_sqrt(np.diag([0.5, -0.25]))
+    assert (blocks, enc.top_block().shape) == ([], (2, 2))
+    assert enc.matrix is enc.matrix  # built on the first read, cached for the second
+    assert len(blocks) == 1
+
+
 def test_b_gate_rows_and_norm():
     t = 0.37
     b = b_gate(t)
@@ -230,6 +259,14 @@ def test_sum_encoding_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("TS_SIM_MAX_DIM", "128")
     with pytest.raises(SizeError):
         uh_from_sum(h2_hamiltonian())  # 16 blocks of 16
+
+
+def test_dilation_respects_dimension_cap(monkeypatch):
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "16")
+    with pytest.raises(SizeError):
+        dilation_sqrt(np.eye(16) / 2.0)  # dimension 2 * 16 = 32
+    monkeypatch.setenv("TS_SIM_MAX_DIM", "32")
+    assert dilation_sqrt(np.eye(16) / 2.0).system_dim == 16
 
 
 # The factor path: the series block comes from the certified factors, and the

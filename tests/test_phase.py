@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tssim import encoding, linalg, pauli
+from tssim import encoding, linalg, pauli, phase
 from tssim.cli import RunConfig, run
 from tssim.encoding import BlockEncoding, dilation_sqrt, taylor_encoding, uh_from_sum
 from tssim.errors import ContractError
@@ -89,13 +89,14 @@ def test_estimators_check_an_encoding_without_residual():
     assert pea_phase(given, E1, 4) == pea_phase(phase_unitary(0.25), E1, 4)
 
 
-def counted(monkeypatch, module, name):
-    """Count calls of module.name, patched wherever a tssim module holds it."""
+def counted(monkeypatch, module, name, record=None):
+    """Count calls of module.name, patched wherever a tssim module holds it;
+    each call appends record(*args, **kwargs), or name when record is None."""
     original = getattr(module, name)
     calls = []
 
     def counter(*args, **kwargs):
-        calls.append(name)
+        calls.append(name if record is None else record(*args, **kwargs))
         return original(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -104,16 +105,35 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-# dc solves h_n, the stacked leaf split and its own dilation's matrix, and
-# certifies its dilation whole; its branches are certified 2x2 block by block
-@pytest.mark.parametrize("method, eighs, unitary_checks", [("exact", 1, 1), ("dc", 3, 1)])
+# exact solves h_n, dc the stacked leaf split and its reconstruction; each
+# certifies its dilation through the N x N factor W alone, and dc's branches
+# are certified 2x2 block by block
+@pytest.mark.parametrize("method, eighs, unitary_checks", [("exact", 1, 1), ("dc", 2, 1)])
 def test_dilation_routes_solve_and_certify_once(monkeypatch, method, eighs, unitary_checks):
     eigh = counted(monkeypatch, np.linalg, "eigh")
-    checks = counted(monkeypatch, linalg, "is_unitary")
+    dims = counted(monkeypatch, linalg, "is_unitary", lambda u, tol: len(u))
     energy, _ = estimate_ground_energy(h2_hamiltonian(), m=16, method=method)
     assert energy == pytest.approx(-1.8510456784448643, abs=1e-3)
     assert len(eigh) == eighs
-    assert len(checks) == unitary_checks
+    assert dims == [16] * unitary_checks  # N = 16; the 2N = 32 dilation is never checked
+
+
+@pytest.mark.parametrize("method, t", [("exact", 1.0), ("dc", 1.0), ("taylor", 0.2)])
+@pytest.mark.parametrize("estimator", ["pea", "ipea"])
+def test_estimates_never_read_a_full_encoding_matrix(monkeypatch, method, t, estimator):
+    def refuse(enc):
+        raise AssertionError(f"an estimate read the {enc.ancilla_dim * enc.system_dim}-dimensional matrix")
+
+    monkeypatch.setattr(BlockEncoding, "matrix", property(refuse))
+    energy, _ = estimate_ground_energy(h2_hamiltonian(), t=t, m=12, method=method, estimator=estimator)
+    assert energy == pytest.approx(-1.8510456784448643, abs=0.05)
+
+
+def test_dc_route_checks_its_eigenvector_against_the_sum(monkeypatch):
+    # a reconstruction whose ground state, the uniform superposition, is not the sum's
+    monkeypatch.setattr(phase, "reconstruct", lambda d: -np.full((16, 16), 1.0 / 16.0))
+    with pytest.raises(ContractError, match="eigenvector of the normalized Hamiltonian"):
+        estimate_ground_energy(h2_hamiltonian(), m=8, method="dc")
 
 
 H2_FILE = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
@@ -266,8 +286,16 @@ def test_ground_energy_routes_agree_on_random_sum():
 
 
 def test_ground_energy_rejects_unknown_method():
-    with pytest.raises(ContractError):
-        estimate_ground_energy(PauliSum([(1.0, "Z")]), method="trotter")
+    for method in ("trotter", "exact-dilation"):  # the estimate's tag is not a route name
+        with pytest.raises(ContractError, match="unknown method"):
+            estimate_ground_energy(PauliSum([(1.0, "Z")]), method=method)
+
+
+def test_eigenvalue_from_phase_takes_the_method_from_the_estimate():
+    p = PhaseEstimate(bits=[], phase=0.1, eigenvalue=math.cos(0.2 * math.pi), success_prob=1.0,
+                      method="trotter")
+    with pytest.raises(ContractError, match="unknown method tag"):
+        eigenvalue_from_phase(p, 0.5)
 
 
 def test_series_phase_folds_postselection_probability():

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from tssim.cli import RunConfig, main, run
 from tssim.decompose import build_decomposition, dense_to_json, reconstruct
+from tssim.encoding import dilation_sqrt
 from tssim.errors import ParseError
 from tssim.pauli import PauliSum, format_pauli_sum, parse_pauli_file
+from tssim.phase import _dilation_phase, dilated_eigenvector, ipea_msb, pea_phase
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 EXIT_CODES = {0, 2, 3, 4}
@@ -202,3 +204,19 @@ def contractions(draw):
 @given(contractions())
 def test_decomposition_reconstructs_contraction(m):
     assert np.max(np.abs(reconstruct(build_decomposition(m)) - m)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2**32 - 1), st.integers(1, 24))
+def test_dilation_route_reads_what_the_dilation_matrix_gives(n, seed, m):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g + g.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2) * rng.uniform(1.01, 3.0)
+    enc = dilation_sqrt(h)
+    u = enc.matrix
+    for v in np.linalg.eigh(h)[1].T:
+        for estimator, oracle in (("pea", pea_phase), ("ipea", ipea_msb)):
+            got = _dilation_phase(enc, v, m, estimator)
+            want = oracle(u, dilated_eigenvector(v), m)
+            assert (got.bits, got.phase, got.tie) == (want.bits, want.phase, want.tie)
