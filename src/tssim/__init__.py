@@ -4,11 +4,9 @@ phase-estimation eigenvalue recovery, all as explicit dense matrices."""
 from .decompose import (
     Decomposition,
     DecompositionTerm,
-    LeafBlock,
     assemble_uh,
     build_decomposition,
     reconstruct,
-    recursive_decompose,
     unitary_split,
 )
 from .encoding import (
@@ -59,7 +57,6 @@ __all__ = [
     "DecompositionTerm",
     "DomainError",
     "GateCount",
-    "LeafBlock",
     "NumericError",
     "ParseError",
     "PauliSum",
@@ -92,7 +89,6 @@ __all__ = [
     "prepare_oracle",
     "prepare_select",
     "reconstruct",
-    "recursive_decompose",
     "sum_matrix",
     "taylor_encoding",
     "taylor_phase",

@@ -35,7 +35,7 @@ from .errors import ContractError, NumericError, ParseError, TssimError
 from .gates import GateCount, count_dc, count_dense, count_multiplexor, count_select_path
 from .linalg import hermitian_eig, inf_norm
 from .pauli import h2_hamiltonian, parse_pauli_file, sum_matrix
-from .phase import MAX_BITS, estimate_ground_energy, histogram_prob_diff
+from .phase import MAX_BITS, _ground_energy, _Normalized, estimate_ground_energy, histogram_prob_diff
 
 SCHEMA = "1"
 # verify accepts a residual up to this times max(1, inf-norm of the matrix)
@@ -252,8 +252,9 @@ def _cmd_h2(cfg: RunConfig) -> dict:
     dc_gates = _gate_doc(count_dc(d))
     bits = int(cfg.bits)
     routes = {}
+    norm = _Normalized(s)  # one normalized sum, matrix and spectrum for all three routes
     for method, t in (("exact", 1.0), ("taylor", 0.2), ("dc", 1.0)):
-        energy, est = estimate_ground_energy(s, t=t, m=bits, method=method)
+        energy, est = _ground_energy(norm, t, bits, method)
         routes[method] = {
             "t": t,
             "energy": float(energy),

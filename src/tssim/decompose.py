@@ -1,13 +1,11 @@
 """Divide-and-conquer decomposition of a matrix into 2x2-multiplexed unitaries.
 
-A 2^n square matrix is tiled into 2x2 leaves. Leaves are indexed by
-quadrant words over the digits {0, 1, 2, 3}: reading a word left to right
-walks the recursive quadrant split (digit = 2 * row_half + col_half), so a
-word of length n-1 pins one leaf. Group j collects the leaves whose block
-column is block row XOR j; it equals the block-diagonal V_j times the
-X-pattern permutation P_j, and its words follow from the diagonal words
-over {0, 3} by flipping 3 -> 2 and 0 -> 1 wherever the mask has an X.
-Each surviving group is then written as a mean of two unitaries.
+A 2^n square matrix is tiled into 2x2 leaves. Group j collects the leaves
+whose block column is block row XOR j, gathered by index; it equals the
+block-diagonal V_j times the X-pattern permutation P_j. (The paper names
+the leaves by quadrant words; the tests keep that bookkeeping as an
+oracle for the gather.) Each surviving group is then written as a mean
+of two unitaries.
 """
 
 from __future__ import annotations
@@ -23,17 +21,6 @@ from .linalg import as_matrix, inf_norm, max_abs, monomial_sum, unitary_blocks
 
 PRUNE_TOL_DEFAULT = 1e-14
 UNITARY_TOL = 1e-10
-
-_RULE1 = {"0": "1", "3": "2", "1": "0", "2": "3"}
-
-
-@dataclass
-class LeafBlock:
-    """One 2x2 tile and the quadrant word that locates it."""
-
-    word: str
-    entries: np.ndarray
-
 
 @dataclass
 class DecompositionTerm:
@@ -74,56 +61,6 @@ def _check_pow2_dim(m) -> tuple[np.ndarray, int]:
     if d < 2 or 2**n != d:
         raise ContractError(f"dimension {d} is not a power of two >= 2")
     return m, n
-
-
-def leaf_slice(word: str, dim: int) -> tuple[int, int]:
-    """(row, col) of a leaf's top-left entry, by quadrant walk."""
-    r0, c0, span = 0, 0, dim
-    for ch in word:
-        d = int(ch)
-        if not 0 <= d <= 3:
-            raise ContractError(f"bad quadrant digit in {word!r}")
-        span //= 2
-        r0 += (d >> 1) * span
-        c0 += (d & 1) * span
-    if span != 2:
-        raise ContractError(f"word {word!r} does not reach leaf depth for dim {dim}")
-    return r0, c0
-
-
-def _diagonal_word(r: int, k: int) -> str:
-    return "".join("3" if (r >> (k - 1 - i)) & 1 else "0" for i in range(k))
-
-
-def _masked_word(r: int, j: int, k: int) -> str:
-    word = _diagonal_word(r, k)
-    out = []
-    for i, ch in enumerate(word):
-        if (j >> (k - 1 - i)) & 1:
-            out.append(_RULE1[ch])
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def recursive_decompose(m) -> list:
-    """All 2^(n-1) groups of leaves as (j, x_mask, [LeafBlock, ...]).
-
-    Group j holds one leaf per block row; the leaf words come from the
-    diagonal words over {0, 3} with the mask's positions flipped.
-    """
-    m, n = _check_pow2_dim(m)
-    k = n - 1
-    rows = 2**k
-    groups = []
-    for j in range(rows):
-        blocks = []
-        for r in range(rows):
-            word = _masked_word(r, j, k)
-            r0, c0 = leaf_slice(word, m.shape[0])
-            blocks.append(LeafBlock(word=word, entries=m[r0 : r0 + 2, c0 : c0 + 2].copy()))
-        groups.append((j, j, blocks))
-    return groups
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:

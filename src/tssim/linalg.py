@@ -94,13 +94,19 @@ def monomial_sum(weights, masks, blocks) -> np.ndarray:
 
     U_i holds blocks[i, r], of an (L, R, k, k) stack, at block row r and
     block column r XOR masks[i], each mask in [0, R); it is (R k) x (R k).
+    One scatter adds every entry, term-major, so each sum runs in term
+    order from zero and the result is bit-identical to adding the terms
+    one at a time.
     """
     blocks = np.asarray(blocks, dtype=complex)
     rows, k = blocks.shape[1], blocks.shape[2]
-    out = np.zeros((check_dim(rows * k),) * 2, dtype=complex)
-    r = np.arange(rows)
-    for w, mask, u in zip(weights, masks, blocks):
-        out.reshape(rows, k, rows, k)[r, :, r ^ mask] += w * u
+    n = check_dim(rows * k)
+    out = np.zeros((n, n), dtype=complex)
+    r = np.arange(rows)[:, None, None]
+    a = np.arange(k)
+    cols = r ^ np.asarray(masks, dtype=np.int64).reshape(-1, 1, 1, 1)
+    flat = (r * k + a[:, None]) * n + cols * k + a  # (L, R, k, k) offsets of entries (r k + a, c k + b)
+    np.add.at(out.reshape(-1), flat.reshape(-1), (np.reshape(weights, (-1, 1, 1, 1)) * blocks).reshape(-1))
     return out
 
 

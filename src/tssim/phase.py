@@ -14,6 +14,7 @@ eigenvalue modulus sqrt(1 + t^4 lambda^4 / 4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -258,6 +259,60 @@ def _dilation_phase(enc: BlockEncoding, v, m: int, estimator: str) -> PhaseEstim
     return _readout(_phase_of(mu / abs(mu)), m, estimator, METHOD_EXACT)
 
 
+class _Normalized:
+    """A Pauli sum over its coefficient 1-norm, for the routes run on it.
+
+    Each part is built on its first read and kept: (s_n, ||c||_1), then
+    h_n = sum_matrix(s_n), then h_n's spectrum.
+    """
+
+    def __init__(self, s: PauliSum):
+        self._s = s
+
+    @functools.cached_property
+    def sum(self) -> tuple[PauliSum, float]:
+        return normalize_for_encoding(self._s)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return sum_matrix(self.sum[0])
+
+    @functools.cached_property
+    def spectrum(self) -> Spectrum:
+        return hermitian_eig(self.matrix)
+
+
+def _ground_energy(norm: _Normalized, t: float, m: int, method: str, estimator: str = "pea",
+                   correct: bool = True) -> tuple[float, PhaseEstimate]:
+    """estimate_ground_energy on a normalized sum; t, m and method are checked first."""
+    m = _check_bit_count(m)
+    if t <= 0:
+        raise ContractError("evolution time must be positive")
+    if t < math.pi * 2.0**-m:  # the quantization bound ||c||_1 pi 2^-m / t would exceed ||c||_1
+        raise ContractError(f"t = {t:.6g} is below pi * 2^-{m} = {math.pi * 2.0**-m:.6g}: "
+                            "the phase resolution cannot bound the energy")
+    if method not in ("exact", "taylor", "dc"):
+        raise ContractError(f"unknown method {method!r}")
+    h = h_n = norm.matrix
+    if method == "dc":
+        d = build_decomposition(h_n)
+        encoding_shape(d)  # a branch, each block unitary; the encoding itself is not built
+        h = reconstruct(d)
+        h = (h + h.conj().T) / 2.0
+        spectrum = hermitian_eig(h)
+        _eigenvalue_on(h_n, spectrum.vectors[:, 0], "normalized Hamiltonian")
+    else:
+        spectrum = norm.spectrum
+    v = spectrum.vectors[:, 0]
+    s_n, scale = norm.sum
+    if method == "taylor":
+        est = taylor_phase(taylor_encoding(uh_from_sum(s_n, h_n), t), v, m, estimator)
+    else:
+        enc = dilation_sqrt(t * h, Spectrum(t * spectrum.values, spectrum.vectors))
+        est = _dilation_phase(enc, v, m, estimator)
+    return scale * eigenvalue_from_phase(est, t, correct), est
+
+
 def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
                            method: str = "exact", estimator: str = "pea",
                            correct: bool = True) -> tuple[float, PhaseEstimate]:
@@ -275,33 +330,9 @@ def estimate_ground_energy(s: PauliSum, t: float = 1.0, m: int = 16,
 
     Half a phase bit moves the energy by up to ||c||_1 pi 2^-m / t, which
     exceeds the whole range ||c||_1 once t < pi 2^-m; such a t raises
-    ContractError.
+    ContractError. t, m and method are checked before anything is built.
     """
-    m = _check_bit_count(m)
-    if t <= 0:
-        raise ContractError("evolution time must be positive")
-    if t < math.pi * 2.0**-m:  # the quantization bound ||c||_1 pi 2^-m / t would exceed ||c||_1
-        raise ContractError(f"t = {t:.6g} is below pi * 2^-{m} = {math.pi * 2.0**-m:.6g}: "
-                            "the phase resolution cannot bound the energy")
-    if method not in ("exact", "taylor", "dc"):
-        raise ContractError(f"unknown method {method!r}")
-    s_n, scale = normalize_for_encoding(s)
-    h = h_n = sum_matrix(s_n)
-    if method == "dc":
-        d = build_decomposition(h_n)
-        encoding_shape(d)  # a branch, each block unitary; the encoding itself is not built
-        h = reconstruct(d)
-        h = (h + h.conj().T) / 2.0
-    spectrum = hermitian_eig(h)
-    v = spectrum.vectors[:, 0]
-    if method == "dc":
-        _eigenvalue_on(h_n, v, "normalized Hamiltonian")
-    if method == "taylor":
-        est = taylor_phase(taylor_encoding(uh_from_sum(s_n, h_n), t), v, m, estimator)
-    else:
-        enc = dilation_sqrt(t * h, Spectrum(t * spectrum.values, spectrum.vectors))
-        est = _dilation_phase(enc, v, m, estimator)
-    return scale * eigenvalue_from_phase(est, t, correct), est
+    return _ground_energy(_Normalized(s), t, m, method, estimator, correct)
 
 
 def histogram_prob_diff(ensemble_size: int, iterations: int = 20, seed: int = 0) -> dict:

@@ -12,12 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tssim.decompose import (
-    build_decomposition,
-    leaf_slice,
-    reconstruct,
-    recursive_decompose,
-)
+from tssim.decompose import build_decomposition, reconstruct
 from tssim.encoding import dilation_sqrt, taylor_encoding, uh_from_sum
 from tssim.gates import count_dc, count_dense, count_multiplexor, count_select_path
 from tssim.linalg import hermitian_eig, max_abs
@@ -29,6 +24,8 @@ from tssim.phase import (
     ipea_msb,
     taylor_phase,
 )
+
+from quadrant_words import leaf_slice, recursive_decompose
 
 E0_H2 = -1.8510456784448643
 LETTERS = "IXYZ"

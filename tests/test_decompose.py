@@ -15,16 +15,16 @@ from tssim.decompose import (
     decomposition_to_json,
     dense_to_json,
     encoding_shape,
-    leaf_slice,
     load_dense_json,
     reconstruct,
     reconstruction_residual,
-    recursive_decompose,
     unitary_split,
 )
 from tssim.errors import ContractError, DomainError, ParseError, SizeError
 from tssim.linalg import max_abs
 from tssim.pauli import h2_hamiltonian, sum_matrix
+
+from quadrant_words import leaf_slice, recursive_decompose
 
 
 def test_leaf_slice_walks_quadrants():

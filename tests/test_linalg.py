@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tssim.errors import ContractError, SizeError
 from tssim.linalg import (
@@ -97,6 +99,51 @@ def test_monomial_sum_matches_dense_factors(rows, k):
     blocks = rng.normal(size=(count, rows, k, k)) + 1j * rng.normal(size=(count, rows, k, k))
     want = sum(w * dense_factor(m, b) for w, m, b in zip(weights, masks, blocks))
     assert max_abs(monomial_sum(weights, masks, blocks) - want) < 1e-12
+
+
+def per_term_sum(weights, masks, blocks):
+    """monomial_sum one term and one block at a time, in term order."""
+    rows, k = blocks.shape[1], blocks.shape[2]
+    out = np.zeros((rows * k, rows * k), dtype=complex)
+    for w, mask, u in zip(weights, masks, blocks):
+        for r in range(rows):
+            c = r ^ mask
+            out[r * k : (r + 1) * k, c * k : (c + 1) * k] += w * u[r]
+    return out
+
+
+@st.composite
+def monomial_factors(draw):
+    """Up to 40 terms with repeated masks, real or complex weights, and signed zeros."""
+    count = draw(st.integers(0, 40))
+    rows, k = 2 ** draw(st.integers(0, 3)), draw(st.sampled_from([1, 2]))
+    masks = draw(st.lists(st.integers(0, rows - 1), min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (count, rows, k, k)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (blocks.real, blocks.imag):
+        part[rng.random(shape) < 0.3] = -0.0
+        part[rng.random(shape) < 0.1] = 0.0
+    weights = rng.normal(size=count) + (1j * rng.normal(size=count) if draw(st.booleans()) else 0.0)
+    weights[rng.random(count) < 0.2] = -0.0
+    return weights.tolist(), masks, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_factors(), st.integers(1, 16))
+def test_monomial_sum_is_the_per_term_loop_bit_for_bit(factors, cap):
+    weights, masks, blocks = factors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TS_SIM_MAX_DIM", str(cap))
+        if blocks.shape[1] * blocks.shape[2] > cap:
+            with pytest.raises(SizeError):
+                monomial_sum(weights, masks, blocks)
+            return
+        got = monomial_sum(weights, masks, blocks)
+    want = per_term_sum(weights, masks, blocks)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def test_monomial_sum_of_no_factors_is_zero():

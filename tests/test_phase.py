@@ -140,21 +140,50 @@ H2_FILE = os.path.join(os.path.dirname(__file__), "fixtures", "h2.pauli")
 
 
 # Each command builds only what it reads: h2 assembles one sum encoding (the
-# series route's) and builds H2's matrix once per route plus once for itself;
-# the series route hands its matrix to the sum encoding; decompose and the dc
-# route read the decomposition without assembling its encoding.
-@pytest.mark.parametrize("cfg, prepares, sums", [
-    (RunConfig(command="h2", bits=8), 1, 4),
-    (RunConfig(command="estimate", input_path=H2_FILE, method="taylor", t=0.2, bits=8), 1, 1),
-    (RunConfig(command="estimate", input_path=H2_FILE, method="dc", bits=8), 0, 1),
-    (RunConfig(command="decompose", input_path=H2_FILE), 0, 1),
+# series route's), builds H2's matrix once for itself and once normalized for
+# all three routes, and solves three spectra: its own, the normalized one that
+# exact and taylor share, and dc's reconstruction. The series route hands its
+# matrix to the sum encoding; decompose and the dc route read the
+# decomposition without assembling its encoding.
+@pytest.mark.parametrize("cfg, prepares, sums, eighs", [
+    (RunConfig(command="h2", bits=8), 1, 2, 3),
+    (RunConfig(command="estimate", input_path=H2_FILE, method="taylor", t=0.2, bits=8), 1, 1, 1),
+    (RunConfig(command="estimate", input_path=H2_FILE, method="dc", bits=8), 0, 1, 1),
+    (RunConfig(command="decompose", input_path=H2_FILE), 0, 1, 0),
 ], ids=["h2", "taylor", "dc", "decompose"])
-def test_commands_build_only_what_they_read(monkeypatch, cfg, prepares, sums):
+def test_commands_build_only_what_they_read(monkeypatch, cfg, prepares, sums, eighs):
     prepare = counted(monkeypatch, encoding, "prepare_select")
     sum_builds = counted(monkeypatch, pauli, "sum_matrix")
+    solves = counted(monkeypatch, linalg, "hermitian_eig")
     code, _ = run(cfg)
     assert code == 0
-    assert (len(prepare), len(sum_builds)) == (prepares, sums)
+    assert (len(prepare), len(sum_builds), len(solves)) == (prepares, sums, eighs)
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_h2_routes_equal_separate_estimates(bits):
+    code, doc = run(RunConfig(command="h2", bits=bits))
+    assert code == 0
+    norm = phase._Normalized(h2_hamiltonian())  # shared by the routes, as h2 shares it
+    for method, route in doc["estimates"].items():
+        energy, est = estimate_ground_energy(h2_hamiltonian(), t=route["t"], m=bits, method=method)
+        assert phase._ground_energy(norm, route["t"], bits, method) == (energy, est)
+        assert (route["energy"], route["success_prob"]) == (energy, est.success_prob)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "bogus"}, "unknown method 'bogus'"),
+    ({"t": 0.0}, "evolution time must be positive"),
+    ({"m": 0}, "bit count must be an integer"),
+    ({"t": 1e-6, "m": 8}, "phase resolution cannot bound the energy"),
+], ids=["method", "time", "bits", "resolution"])
+def test_estimate_checks_its_arguments_before_building(monkeypatch, kwargs, message):
+    normalizations = counted(monkeypatch, pauli, "normalize_for_encoding")
+    s = PauliSum([(1e-16, "X")])  # its only term is dropped, so normalizing it would raise
+    assert s.terms == []
+    with pytest.raises(ContractError, match=message):
+        estimate_ground_energy(s, **kwargs)
+    assert normalizations == []
 
 
 def test_single_term_series_certifies_its_sum_encoding_once(monkeypatch):
